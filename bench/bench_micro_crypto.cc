@@ -162,6 +162,48 @@ void BM_FullPairing(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPairing);
 
+void BM_PrepareG2(benchmark::State& state) {
+  G2Affine q = G2Mul(Fr::FromUint64(9)).ToAffine();
+  for (auto _ : state) {
+    G2Prepared prepared = PrepareG2(q);
+    benchmark::DoNotOptimize(prepared);
+  }
+}
+BENCHMARK(BM_PrepareG2);
+
+void BM_FinalExponentiation(benchmark::State& state) {
+  GT f = MillerLoop(G1Mul(Fr::FromUint64(7)).ToAffine(),
+                    G2Mul(Fr::FromUint64(9)).ToAffine());
+  for (auto _ : state) {
+    GT e = FinalExponentiation(f);
+    benchmark::DoNotOptimize(e);
+  }
+}
+BENCHMARK(BM_FinalExponentiation);
+
+/// The verifier's check shape: range(0) = 2 pairs is acc2 (one random G2
+/// point and the generator), 3 pairs is acc1 (two random G2 points and the
+/// generator). The G1 side of the generator pair is chosen so the product
+/// is one, as it is for an honest proof.
+void BM_PairingProductIsOne(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::pair<G1Affine, G2Affine>> pairs;
+  Fr sum = Fr::Zero();
+  for (size_t i = 0; i + 1 < n; ++i) {
+    Fr a = Fr::FromUint64(11 + i);
+    Fr b = Fr::FromUint64(101 + i);
+    pairs.push_back({G1Mul(a).ToAffine(), G2Mul(b).ToAffine()});
+    sum += a * b;
+  }
+  pairs.push_back({G1Mul(sum.Neg()).ToAffine(), G2Generator()});
+  for (auto _ : state) {
+    bool ok = PairingProductIsOne(pairs);
+    if (!ok) state.SkipWithError("product is not one");
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_PairingProductIsOne)->Arg(2)->Arg(3);
+
 void BM_PolyFromRoots(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::vector<Fr> roots;

@@ -7,12 +7,12 @@
 // proof, or verifiable evidence that nothing matched.
 //
 // The realtime scheme runs through the vchain::Service front door
-// (Subscribe / TakeSubscriptionEvents / VerifyNotification — queries are
-// validated, events buffered per block). The lazy scheme (§7.2, Algorithm 5)
-// stays on the typed layer (SubscriptionManager + SubVerifier): a second SP
-// mines the identical chain (same oracle, same offers) and aggregates silent
-// runs of blocks into single proofs — showing the facade and the typed core
-// working side by side.
+// (Subscribe / EventsSince / VerifyNotification — queries are validated,
+// events logged per block and read through each subscriber's cursor). The
+// lazy scheme (§7.2, Algorithm 5) stays on the typed layer
+// (SubscriptionManager + SubVerifier): a second SP mines the identical chain
+// (same oracle, same offers) and aggregates silent runs of blocks into single
+// proofs — showing the facade and the typed core working side by side.
 //
 //   $ ./car_rental_subscriptions
 
@@ -34,7 +34,7 @@ int main() {
   config.schema = chain::NumericSchema{1, 10};  // daily price
   config.skiplist_size = 2;
 
-  // Realtime SP: one Service owns miner, subscriptions, and event buffer.
+  // Realtime SP: one Service owns miner, subscriptions, and event log.
   ServiceOptions opts;
   opts.engine = EngineKind::kAcc2;
   opts.config = config;
@@ -65,7 +65,8 @@ int main() {
     const char* who;
     core::Query q;
     uint32_t rt_id, lazy_id;
-    uint64_t owed = 0;  // next height owed by the lazy SP
+    uint64_t cursor = 0;  // next height to read from the realtime SP
+    uint64_t owed = 0;    // next height owed by the lazy SP
   };
   std::vector<Sub> subs = {{"alice(sedan)", q_sedan, 0, 0},
                            {"bob(van)", q_van, 0, 0},
@@ -111,22 +112,24 @@ int main() {
     const auto& block = lazy_miner.blocks().back();
     ts += 86400;
 
-    // Realtime delivery: drain this block's buffered events and verify each
-    // against headers only.
-    for (const SubscriptionEvent& ev : market->TakeSubscriptionEvents()) {
-      Sub& s = *std::find_if(subs.begin(), subs.end(), [&](const Sub& x) {
-        return x.rt_id == ev.query_id;
-      });
-      Status ok = market->VerifyNotification(s.q, ev, light);
-      rt_bytes += ev.notification_bytes.size();
-      if (!ev.objects.empty()) {
-        std::printf("day %2d  %-13s %zu new offer(s) [%s]\n", day, s.who,
-                    ev.objects.size(), ok.ToString().c_str());
-        for (const auto& o : ev.objects) {
-          std::printf("         -> %s\n", o.ToString().c_str());
+    // Realtime delivery: each subscriber reads this block's event through
+    // its own cursor and verifies it against headers only.
+    for (Sub& s : subs) {
+      auto batch = market->EventsSince(s.rt_id, s.cursor);
+      if (!batch.ok()) return 1;
+      s.cursor = batch.value().next_cursor;
+      for (const SubscriptionEvent& ev : batch.value().events) {
+        Status ok = market->VerifyNotification(s.q, ev, light);
+        rt_bytes += ev.notification_bytes.size();
+        if (!ev.objects.empty()) {
+          std::printf("day %2d  %-13s %zu new offer(s) [%s]\n", day, s.who,
+                      ev.objects.size(), ok.ToString().c_str());
+          for (const auto& o : ev.objects) {
+            std::printf("         -> %s\n", o.ToString().c_str());
+          }
         }
+        if (!ok.ok()) return 1;
       }
-      if (!ok.ok()) return 1;
     }
 
     // Lazy delivery: batches appear only when something matches.

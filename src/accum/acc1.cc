@@ -72,11 +72,10 @@ Result<Acc1Engine::Proof> Acc1Engine::ProveDisjoint(
 bool Acc1Engine::VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                                 const Proof& proof) const {
   // e(acc(X1), F1) * e(acc(X2), F2) * e(-g1, g2) == 1.
-  G1Affine neg_g1 =
-      G1::FromAffine(crypto::G1Generator()).Neg().ToAffine();
+  static const G1Affine kNegG1 = crypto::G1Generator().Neg();
   return crypto::PairingProductIsOne({{dw.point, proof.f1},
                                       {dc.point, proof.f2},
-                                      {neg_g1, crypto::G2Generator()}});
+                                      {kNegG1, crypto::G2Generator()}});
 }
 
 void Acc1Engine::SerializeDigest(const ObjectDigest& d, ByteWriter* w) const {

@@ -86,9 +86,8 @@ Result<Acc2Engine::Proof> Acc2Engine::ProveDisjoint(
 bool Acc2Engine::VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                                 const Proof& proof) const {
   // e(dA, dB) * e(-pi, g2) == 1.
-  G1Affine neg_pi = G1::FromAffine(proof.pi).Neg().ToAffine();
   return crypto::PairingProductIsOne(
-      {{dw.point, dc.point}, {neg_pi, crypto::G2Generator()}});
+      {{dw.point, dc.point}, {proof.pi.Neg(), crypto::G2Generator()}});
 }
 
 Acc2Engine::ObjectDigest Acc2Engine::SumDigests(

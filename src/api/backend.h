@@ -10,7 +10,7 @@
 //
 // Thread-safety contract: Query / Stats / NumBlocks / SyncLightClient /
 // Verify* are safe from any thread, concurrently; Append / Subscribe /
-// Unsubscribe / TakeSubscriptionEvents / Sync are safe from any thread but
+// Unsubscribe / EventsSince / Sync are safe from any thread but
 // serialize against queries (implementations hold a shared_mutex — queries
 // shared, mutations exclusive).
 
@@ -56,7 +56,6 @@ class IServiceBackend {
                                                      size_t max_events) = 0;
   virtual Result<SubscriptionEvent> DecodeNotification(
       const Bytes& notification_bytes) const = 0;
-  virtual std::vector<SubscriptionEvent> TakeSubscriptionEvents() = 0;
 
   virtual ServiceStats Stats() const = 0;
   virtual uint64_t NumBlocks() const = 0;

@@ -11,9 +11,9 @@
 //     proof cache, decoded-block cache — is shared and internally
 //     synchronized. The block-source view is frozen at the admission-time
 //     tip, so a later append can never shift a window mid-walk.
-//   * Append / Subscribe / Unsubscribe / TakeSubscriptionEvents / Sync take
-//     the *exclusive* lock: they mutate the chain vectors, the timestamp
-//     index, the store, or the event buffer that queries and stats read.
+//   * Append / Subscribe / Unsubscribe / EventsSince / Sync take the
+//     *exclusive* lock: they mutate the chain vectors, the timestamp index,
+//     the store, or the event log that queries and stats read.
 //
 // Determinism: everything a query emits is a pure function of (chain,
 // query, engine); caches only decide what gets recomputed. Concurrent runs
@@ -335,22 +335,6 @@ class ServiceBackend final : public IServiceBackend {
     return ev;
   }
 
-  std::vector<SubscriptionEvent> TakeSubscriptionEvents() override {
-    // Legacy global drain, now a cursor over the shared event log: hand out
-    // every event not yet taken, but leave them in the log so EventsSince
-    // subscribers can still read their own slices.
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    const uint64_t log_end = log_start_seq_ + event_log_.size();
-    uint64_t seq = std::max(take_seq_, log_start_seq_);
-    std::vector<SubscriptionEvent> out;
-    out.reserve(log_end - seq);
-    for (; seq < log_end; ++seq) {
-      out.push_back(event_log_[seq - log_start_seq_]);
-    }
-    take_seq_ = log_end;
-    return out;
-  }
-
   // --- introspection -------------------------------------------------------
 
   ServiceStats Stats() const override {
@@ -362,9 +346,7 @@ class ServiceBackend final : public IServiceBackend {
     s.num_blocks = builder_->NumBlocks();
     s.queries_served = queries_served_.load(std::memory_order_relaxed);
     s.subscriptions_active = subs_.NumActive();
-    s.subscription_events_pending =
-        (log_start_seq_ + event_log_.size()) -
-        std::max(take_seq_, log_start_seq_);
+    s.subscription_events_pending = event_log_.size();
     s.sub_matcher = subs_.matcher();
     if (ckpt_ != nullptr) s.sub_checkpoint_seq = ckpt_->latest_seq();
     s.proof_cache = proof_cache_.stats();
@@ -600,9 +582,6 @@ class ServiceBackend final : public IServiceBackend {
   /// anything trimmed away by re-matching the block.
   std::deque<SubscriptionEvent> event_log_;
   uint64_t log_start_seq_ = 0;
-  /// High-water mark of the legacy global drain (TakeSubscriptionEvents):
-  /// events with seq below it were already handed out by Take.
-  uint64_t take_seq_ = 0;
   std::unique_ptr<sub::CheckpointSlots> ckpt_;  // null unless durable + on
   uint64_t ckpt_height_ = 0;  ///< drain cursor at the last checkpoint write
 

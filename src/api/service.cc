@@ -446,10 +446,6 @@ void Service::NotifySubscriptionListener() {
   if (listener) listener(backend_->NumBlocks());
 }
 
-std::vector<SubscriptionEvent> Service::TakeSubscriptionEvents() {
-  return backend_->TakeSubscriptionEvents();
-}
-
 ServiceStats Service::Stats() const {
   ServiceStats s = backend_->Stats();
   // One source of truth: the canary totals come back out of the registry

@@ -185,9 +185,9 @@ struct QueryResult {
   size_t vo_bytes = 0;
 };
 
-/// One per-(standing query, block) notification, buffered at Append and
-/// drained with TakeSubscriptionEvents. `notification_bytes` is the
-/// canonical serialized proof tree for VerifyNotification.
+/// One per-(standing query, block) notification, logged at Append and read
+/// per subscriber with EventsSince. `notification_bytes` is the canonical
+/// serialized proof tree for VerifyNotification.
 struct SubscriptionEvent {
   uint32_t query_id = 0;
   uint64_t height = 0;
@@ -218,6 +218,8 @@ struct ServiceStats {
   uint64_t num_blocks = 0;
   uint64_t queries_served = 0;
   uint64_t subscriptions_active = 0;
+  /// Events held in the bounded in-memory redelivery log
+  /// (ServiceOptions::sub_event_log_capacity).
   uint64_t subscription_events_pending = 0;
   /// Which matcher serves the standing queries (mirrors
   /// ServiceOptions::sub_matcher; also visible as the sub-tier metrics).
@@ -257,7 +259,7 @@ class Service {
 
   /// Mine the next block from `objects` at `timestamp` (monotonic), write
   /// it through to the store when durable, and run it past every standing
-  /// subscription (events are buffered for TakeSubscriptionEvents).
+  /// subscription (events are logged for EventsSince).
   Status Append(std::vector<chain::Object> objects, uint64_t timestamp);
 
   /// Durable commit point: fsync the store and advance its commit
@@ -350,14 +352,6 @@ class Service {
   /// Called on the appending thread with no Service locks held; keep it
   /// cheap (flag + notify). Pass nullptr to clear.
   void SetSubscriptionListener(std::function<void(uint64_t tip)> listener);
-
-  /// Drain all buffered subscription events (appended order).
-  ///
-  /// DEPRECATED: this is the pre-cursor global drain — one caller consumes
-  /// everything, which cannot serve multiple wire subscribers. It now runs
-  /// as a thin wrapper over the cursor machinery behind EventsSince and
-  /// will be removed next PR; migrate to EventsSince(id, cursor).
-  std::vector<SubscriptionEvent> TakeSubscriptionEvents();
 
   // --- introspection -------------------------------------------------------
 

@@ -57,7 +57,7 @@
 // store — no re-mining.
 //
 // Subscription queries live in sub/subscription.h; Service exposes the
-// realtime scheme (Subscribe/TakeSubscriptionEvents/VerifyNotification),
+// realtime scheme (Subscribe/EventsSince/VerifyNotification),
 // while the lazy scheme (§7.2, Algorithm 5) remains typed-layer via
 // SubscriptionManager::ProcessNewBlocksLazy.
 //

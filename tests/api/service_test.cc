@@ -415,9 +415,18 @@ TYPED_TEST(ServiceTest, SubscriptionEventsFlowThroughAndVerify) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   AppendAll(svc.value().get(), blocks);
-  auto events = svc.value()->TakeSubscriptionEvents();
+  auto batch = svc.value()->EventsSince(id.value(), /*cursor=*/0,
+                                        /*max_events=*/blocks.size() + 1);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::vector<SubscriptionEvent>& events = batch.value().events;
   ASSERT_EQ(events.size(), blocks.size());  // one per block for one query
-  EXPECT_TRUE(svc.value()->TakeSubscriptionEvents().empty());  // drained
+  for (size_t i = 0; i < events.size(); ++i) EXPECT_EQ(events[i].height, i);
+  EXPECT_EQ(batch.value().next_cursor, blocks.size());
+  // Read again at the returned cursor: nothing is delivered twice.
+  auto again_batch = svc.value()->EventsSince(id.value(),
+                                              batch.value().next_cursor);
+  ASSERT_TRUE(again_batch.ok());
+  EXPECT_TRUE(again_batch.value().events.empty());
 
   LightClient light;
   ASSERT_TRUE(svc.value()->SyncLightClient(&light).ok());
@@ -430,10 +439,12 @@ TYPED_TEST(ServiceTest, SubscriptionEventsFlowThroughAndVerify) {
   EXPECT_TRUE(svc.value()->Unsubscribe(id.value()).ok());
   Status again = svc.value()->Unsubscribe(id.value());
   EXPECT_TRUE(again.IsNotFound()) << again.ToString();
-  // No active subscriptions: further appends buffer nothing.
+  // No active subscriptions: further appends log nothing.
+  const uint64_t logged = svc.value()->Stats().subscription_events_pending;
   Status st = svc.value()->Append(blocks[0], blocks.back().front().timestamp);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(svc.value()->TakeSubscriptionEvents().empty());
+  EXPECT_EQ(svc.value()->Stats().subscription_events_pending, logged);
+  EXPECT_TRUE(svc.value()->EventsSince(id.value(), 0).status().IsNotFound());
 }
 
 TEST(ServiceValidationTest, RejectsStructurallyInvalidQueries) {

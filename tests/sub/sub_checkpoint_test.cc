@@ -271,7 +271,9 @@ TEST(ServiceCheckpointTest, KilledAndRestartedServiceResumesSubscriptions) {
     ASSERT_TRUE(id.ok());
     qid = id.value();
     AppendBlocks(svc.value().get(), 3, &height);
-    EXPECT_EQ(svc.value()->TakeSubscriptionEvents().size(), 3u);
+    auto batch = svc.value()->EventsSince(qid, 0);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.value().events.size(), 3u);
     ASSERT_TRUE(svc.value()->Sync().ok());
     EXPECT_GT(svc.value()->Stats().sub_checkpoint_seq, 0u);
   }  // process killed
@@ -282,13 +284,16 @@ TEST(ServiceCheckpointTest, KilledAndRestartedServiceResumesSubscriptions) {
   EXPECT_EQ(stats.num_blocks, 3u);
   EXPECT_EQ(stats.subscriptions_active, 1u);  // resumed, not re-subscribed
   EXPECT_GT(stats.sub_checkpoint_seq, 0u);
-  // The checkpoint covered every drained block: nothing is re-delivered.
-  EXPECT_TRUE(svc.value()->TakeSubscriptionEvents().empty());
+  // The checkpoint covered every drained block: nothing is re-drained into
+  // the event log.
+  EXPECT_EQ(stats.subscription_events_pending, 0u);
 
   // The resumed subscription keeps notifying under its original id, and the
   // notifications verify against headers like any others.
   AppendBlocks(svc.value().get(), 1, &height);
-  auto events = svc.value()->TakeSubscriptionEvents();
+  auto batch = svc.value()->EventsSince(qid, /*cursor=*/3);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const auto& events = batch.value().events;
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].query_id, qid);
   EXPECT_EQ(events[0].height, 3u);
@@ -305,14 +310,19 @@ TEST(ServiceCheckpointTest, StaleCheckpointRedeliversAtLeastOnce) {
   auto oracle = KeyOracle::Create(2027, AccParams{14});
   std::string dir = UniqueDir();
   uint64_t height = 0;
+  uint32_t qid = 0;
   {
     ServiceOptions opts = CkptOptions(oracle, dir);
     opts.sub_checkpoint_interval_blocks = 0;  // checkpoint only at (un)sub/Sync
     auto svc = Service::Open(std::move(opts));
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-    ASSERT_TRUE(svc.value()->Subscribe(MatchAllishQuery()).ok());  // ckpt @ 0
+    auto id = svc.value()->Subscribe(MatchAllishQuery());  // ckpt @ 0
+    ASSERT_TRUE(id.ok());
+    qid = id.value();
     AppendBlocks(svc.value().get(), 4, &height);
-    EXPECT_EQ(svc.value()->TakeSubscriptionEvents().size(), 4u);
+    auto batch = svc.value()->EventsSince(qid, 0);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.value().events.size(), 4u);
     ASSERT_TRUE(svc.value()->Sync().ok());  // ckpt @ 4 (the newest slot)
   }
 
@@ -335,9 +345,12 @@ TEST(ServiceCheckpointTest, StaleCheckpointRedeliversAtLeastOnce) {
   auto svc = Service::Open(std::move(opts));
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
   EXPECT_EQ(svc.value()->Stats().subscriptions_active, 1u);
-  // At-least-once: all four already-published blocks are re-delivered (the
-  // subscriber dedups by (query_id, height)); none is skipped.
-  auto events = svc.value()->TakeSubscriptionEvents();
+  // At-least-once: all four already-published blocks are re-drained into the
+  // event log (the subscriber dedups by (query_id, height)); none is skipped.
+  EXPECT_EQ(svc.value()->Stats().subscription_events_pending, 4u);
+  auto batch = svc.value()->EventsSince(qid, 0);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const auto& events = batch.value().events;
   ASSERT_EQ(events.size(), 4u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].height, i);
@@ -345,9 +358,10 @@ TEST(ServiceCheckpointTest, StaleCheckpointRedeliversAtLeastOnce) {
   }
   // Delivery continues exactly where the chain tip is.
   AppendBlocks(svc.value().get(), 1, &height);
-  events = svc.value()->TakeSubscriptionEvents();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].height, 4u);
+  auto next = svc.value()->EventsSince(qid, batch.value().next_cursor);
+  ASSERT_TRUE(next.ok());
+  ASSERT_EQ(next.value().events.size(), 1u);
+  EXPECT_EQ(next.value().events[0].height, 4u);
 }
 
 TEST(ServiceCheckpointTest, TornSubscribeCheckpointFallsBackToLastDurable) {
@@ -355,13 +369,16 @@ TEST(ServiceCheckpointTest, TornSubscribeCheckpointFallsBackToLastDurable) {
   std::string dir = UniqueDir();
   FaultInjectionEnv fenv;
   uint64_t height = 0;
+  uint32_t q1 = 0;
   {
     ServiceOptions opts = CkptOptions(oracle, dir);
     opts.store_options.env = &fenv;
     opts.sub_checkpoint_interval_blocks = 0;
     auto svc = Service::Open(std::move(opts));
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-    ASSERT_TRUE(svc.value()->Subscribe(MatchAllishQuery()).ok());
+    auto id = svc.value()->Subscribe(MatchAllishQuery());
+    ASSERT_TRUE(id.ok());
+    q1 = id.value();
     AppendBlocks(svc.value().get(), 2, &height);
     ASSERT_TRUE(svc.value()->Sync().ok());  // q1 durable at height 2
 
@@ -387,9 +404,11 @@ TEST(ServiceCheckpointTest, TornSubscribeCheckpointFallsBackToLastDurable) {
   // already at the tip (no replay window).
   auto stats = svc.value()->Stats();
   EXPECT_EQ(stats.subscriptions_active, 1u);
-  EXPECT_TRUE(svc.value()->TakeSubscriptionEvents().empty());
+  EXPECT_EQ(stats.subscription_events_pending, 0u);
   AppendBlocks(svc.value().get(), 1, &height);
-  EXPECT_EQ(svc.value()->TakeSubscriptionEvents().size(), 1u);
+  auto batch = svc.value()->EventsSince(q1, /*cursor=*/2);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value().events.size(), 1u);
 }
 
 TEST(ServiceCheckpointTest, PeriodicIntervalBoundsReplayWindow) {

@@ -379,6 +379,7 @@ TEST(SubMatchServiceTest, SubscribeChurnDuringAppends) {
   auto svc = svc_or.TakeValue();
 
   std::atomic<bool> done{false};
+  std::vector<uint32_t> ids;  // the churner's live subscriptions
   std::thread miner([&] {
     Rng rng(1);
     for (int b = 0; b < 30; ++b) {
@@ -397,7 +398,6 @@ TEST(SubMatchServiceTest, SubscribeChurnDuringAppends) {
   });
   std::thread churner([&] {
     Rng rng(2);
-    std::vector<uint32_t> ids;
     while (!done.load()) {
       Query q = RandomQuery(&rng);
       auto id = svc->Subscribe(q);
@@ -413,10 +413,15 @@ TEST(SubMatchServiceTest, SubscribeChurnDuringAppends) {
   auto stats = svc->Stats();
   EXPECT_EQ(stats.num_blocks, 30u);
   EXPECT_EQ(stats.sub_matcher, MatcherMode::kIndexed);
-  // Every buffered event decodes and carries a drained height.
-  for (const auto& ev : svc->TakeSubscriptionEvents()) {
-    EXPECT_LT(ev.height, 30u);
-    EXPECT_FALSE(ev.notification_bytes.empty());
+  // Every event a surviving subscriber reads carries a drained height.
+  for (uint32_t id : ids) {
+    auto batch = svc->EventsSince(id, /*cursor=*/0, /*max_events=*/64);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (const auto& ev : batch.value().events) {
+      EXPECT_EQ(ev.query_id, id);
+      EXPECT_LT(ev.height, 30u);
+      EXPECT_FALSE(ev.notification_bytes.empty());
+    }
   }
 }
 
