@@ -10,10 +10,8 @@ using namespace vchain::bench;
 int main() {
   Scale scale = GetScale();
   size_t period = scale.window_blocks[0];  // short fixed period
-  sub::MatcherMode matcher = SubMatcherFromEnv();
   std::printf("# Fig 12 — subscription SP cost vs number of queries "
-              "(period=%zu blocks, acc2, %s matcher)\n",
-              period, sub::MatcherModeName(matcher));
+              "(period=%zu blocks, acc2)\n", period);
   std::printf("%-8s %-14s %9s %12s\n", "dataset", "scheme", "queries",
               "sp_cpu_s");
   for (DatasetKind kind :
@@ -34,7 +32,6 @@ int main() {
         SubSessionOptions so;
         so.lazy = v.lazy;
         so.use_ip_tree = v.ip;
-        so.matcher = matcher;
         SubCosts c =
             RunSubscriptionSession<Acc2Engine>(profile, config, period, n, so);
         std::printf("%-8s %-14s %9zu %12.4f\n", workload::DatasetName(kind),

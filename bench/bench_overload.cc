@@ -96,12 +96,11 @@ int main(int argc, char** argv) {
     if (!svc->Append(std::move(objs), ts).ok()) std::abort();
   }
 
-  // Two workers for the two keep-alive clients; a short accept queue so
-  // the flood actually hits the shed path instead of parking forever.
+  // Two workers for the two keep-alive clients; a connection cap just above
+  // them so the flood actually hits the shed path instead of parking forever.
   net::SpServer::Options sopts;
   sopts.http.num_threads = n_clients;
   sopts.http.max_connections = n_clients + 2;
-  sopts.http.accept_queue = 2;
   auto server = net::SpServer::Start(svc.get(), sopts).TakeValue();
 
   auto headers = svc->Headers(0, blocks - 1).TakeValue();

@@ -1,8 +1,7 @@
 // Shared driver for the subscription benchmarks (Figs 12-15 and the
 // matcher sweep in bench_sub_match): one session loop serves every variant
-// — realtime/lazy, IP-Tree on/off, linear/indexed matcher — so the drivers
-// stay declarative. VCHAIN_SUB_MATCHER=linear|indexed overrides the matcher
-// for the figure binaries without recompiling.
+// — realtime/lazy, IP-Tree on/off, block-driven or per-query realtime
+// matching — so the drivers stay declarative.
 
 #ifndef VCHAIN_BENCH_SUB_HARNESS_H_
 #define VCHAIN_BENCH_SUB_HARNESS_H_
@@ -12,18 +11,6 @@
 #include "sub/sub_verifier.h"
 
 namespace vchain::bench {
-
-/// Matcher under test: the VCHAIN_SUB_MATCHER env knob, defaulting to the
-/// service default (indexed).
-inline sub::MatcherMode SubMatcherFromEnv() {
-  const char* env = std::getenv("VCHAIN_SUB_MATCHER");
-  sub::MatcherMode mode = sub::MatcherMode::kIndexed;
-  if (env != nullptr && !sub::MatcherModeFromName(env, &mode)) {
-    std::fprintf(stderr, "unknown VCHAIN_SUB_MATCHER %s\n", env);
-    std::abort();
-  }
-  return mode;
-}
 
 struct SubCosts {
   double sp_seconds = 0;    ///< accumulated SP processing time
@@ -37,7 +24,6 @@ struct SubSessionOptions {
   bool use_ip_tree = true;   ///< cross-query proof sharing (§7.1)
   bool verify = false;       ///< measure user-side verification too
   bool measure_vo = true;    ///< serialize outputs for the VO-size metric
-  sub::MatcherMode matcher = sub::MatcherMode::kIndexed;
   /// Distinct query templates the subscribers draw their keyword interests
   /// from (0 = n_queries / 4). Correlated interests are the workload the
   /// IP-Tree and the clause index both exploit.
@@ -62,13 +48,28 @@ Engine MakeBenchEngine() {
   }
 }
 
+/// Realtime matching as the SP runs it: the block drives the clause index.
+/// `Prepare` runs once after registration, outside the timed loop.
+struct MatchByBlock {
+  template <typename Engine>
+  void Prepare(sub::SubscriptionManager<Engine>&) const {}
+
+  template <typename Engine>
+  std::vector<sub::SubNotification<Engine>> operator()(
+      sub::SubscriptionManager<Engine>& mgr,
+      const core::Block<Engine>& block) const {
+    return mgr.ProcessBlock(block);
+  }
+};
+
 /// Run a subscription session of `period_blocks` blocks with `n_queries`
-/// registered queries under `so`.
-template <typename Engine>
+/// registered queries under `so`; `match` is the realtime matching step.
+template <typename Engine, typename Match = MatchByBlock>
 SubCosts RunSubscriptionSession(const DatasetProfile& profile,
                                 const ChainConfig& config,
                                 size_t period_blocks, size_t n_queries,
-                                const SubSessionOptions& so) {
+                                const SubSessionOptions& so,
+                                Match match = {}) {
   Engine engine = MakeBenchEngine<Engine>();
   ChainBuilder<Engine> builder(engine, config);
   DatasetGenerator gen(profile, /*seed=*/555);
@@ -76,7 +77,6 @@ SubCosts RunSubscriptionSession(const DatasetProfile& profile,
   typename sub::SubscriptionManager<Engine>::Options opts;
   opts.lazy = so.lazy;
   opts.use_ip_tree = so.use_ip_tree;
-  opts.matcher = so.matcher;
   sub::SubscriptionManager<Engine> mgr(engine, config, opts);
 
   struct Reg {
@@ -119,6 +119,7 @@ SubCosts RunSubscriptionSession(const DatasetProfile& profile,
     r.id = mgr.TrySubscribe(r.q).TakeValue();
     if (so.verify) regs.push_back(std::move(r));
   }
+  match.Prepare(mgr);
 
   chain::LightClient light;
   sub::SubVerifier<Engine> verifier(engine, config, &light);
@@ -167,7 +168,7 @@ SubCosts RunSubscriptionSession(const DatasetProfile& profile,
       }
     } else {
       Timer sp_t;
-      auto notifs = mgr.ProcessBlock(block);
+      auto notifs = match(mgr, block);
       double s = sp_t.ElapsedSeconds();
       costs.sp_seconds += s;
       costs.block_sp_seconds.push_back(s);
@@ -210,18 +211,14 @@ inline void RunSubscriptionFigure(const char* figure, DatasetKind kind) {
   Scale scale = GetScale();
   DatasetProfile profile = workload::ProfileFor(kind, scale.objects_per_block);
   size_t n_queries = 3;
-  sub::MatcherMode matcher = SubMatcherFromEnv();
-  std::printf("# %s — subscription query performance (%s), %zu queries, "
-              "%s matcher\n",
-              figure, workload::DatasetName(kind), n_queries,
-              sub::MatcherModeName(matcher));
+  std::printf("# %s — subscription query performance (%s), %zu queries\n",
+              figure, workload::DatasetName(kind), n_queries);
   std::printf("%-15s %8s %12s %12s %10s\n", "scheme", "period", "sp_cpu_s",
               "user_cpu_s", "vo_kb");
   for (size_t period : scale.window_blocks) {
     ChainConfig config = ConfigFor(profile, IndexMode::kBoth);
     SubSessionOptions so;
     so.verify = true;
-    so.matcher = matcher;
     SubCosts rt1 = RunSubscriptionSession<Acc1Engine>(profile, config, period,
                                                       n_queries, so);
     std::printf("%-15s %8zu %12.4f %12.4f %10.2f\n", "realtime-acc1", period,

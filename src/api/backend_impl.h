@@ -347,7 +347,6 @@ class ServiceBackend final : public IServiceBackend {
     s.queries_served = queries_served_.load(std::memory_order_relaxed);
     s.subscriptions_active = subs_.NumActive();
     s.subscription_events_pending = event_log_.size();
-    s.sub_matcher = subs_.matcher();
     if (ckpt_ != nullptr) s.sub_checkpoint_seq = ckpt_->latest_seq();
     s.proof_cache = proof_cache_.stats();
     if (disk_source_ != nullptr) s.block_cache = disk_source_->cache_stats();
@@ -372,7 +371,6 @@ class ServiceBackend final : public IServiceBackend {
   typename sub::SubscriptionManager<Engine>::Options SubOptions() const {
     typename sub::SubscriptionManager<Engine>::Options o;
     o.use_ip_tree = options_.subscriptions_share_proofs;
-    o.matcher = options_.sub_matcher;
     return o;
   }
 

@@ -548,8 +548,6 @@ std::string Service::DebugConfigJson() const {
   AppendBoolField(&out, "subscriptions_share_proofs",
                   o.subscriptions_share_proofs,
                   defaults.subscriptions_share_proofs, &first);
-  AppendStringField(&out, "sub_matcher", sub::MatcherModeName(o.sub_matcher),
-                    sub::MatcherModeName(defaults.sub_matcher), &first);
   AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,
                   defaults.sub_checkpoints, &first);
   AppendField(&out, "sub_checkpoint_interval_blocks",

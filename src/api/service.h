@@ -66,7 +66,6 @@
 #include "core/query.h"
 #include "core/query_trace.h"
 #include "store/block_store.h"
-#include "sub/match/matcher.h"
 
 namespace vchain::api {
 
@@ -119,13 +118,6 @@ struct ServiceOptions {
 
   /// Subscription proof sharing across standing queries (§7.1).
   bool subscriptions_share_proofs = true;
-
-  /// Subscription matching strategy (sub/match/): kLinear scans every
-  /// standing query per block; kIndexed drives matching through the
-  /// clause-inverted index and builds each notification once per group of
-  /// identical queries. Notifications are bit-identical either way — this
-  /// knob trades per-subscribe indexing work for per-block matching cost.
-  sub::MatcherMode sub_matcher = sub::MatcherMode::kIndexed;
 
   /// Persist subscription state (registered queries + ids, drain cursor,
   /// pending lazy runs) as CRC-framed alternating slot files in `store_dir`,
@@ -221,9 +213,6 @@ struct ServiceStats {
   /// Events held in the bounded in-memory redelivery log
   /// (ServiceOptions::sub_event_log_capacity).
   uint64_t subscription_events_pending = 0;
-  /// Which matcher serves the standing queries (mirrors
-  /// ServiceOptions::sub_matcher; also visible as the sub-tier metrics).
-  sub::MatcherMode sub_matcher = sub::MatcherMode::kIndexed;
   /// Sequence number of the latest durable subscription checkpoint
   /// (0 = none written or loaded; checkpointing off or in-memory mode).
   uint64_t sub_checkpoint_seq = 0;

@@ -59,7 +59,7 @@
 // Subscription queries live in sub/subscription.h; Service exposes the
 // realtime scheme (Subscribe/EventsSince/VerifyNotification),
 // while the lazy scheme (§7.2, Algorithm 5) remains typed-layer via
-// SubscriptionManager::ProcessNewBlocksLazy.
+// SubscriptionManager::ProcessBlockLazy.
 //
 // Remote deployments (src/net/): `net::SpServer` publishes a Service over
 // a dependency-free HTTP/1.1 wire protocol and `net::SpClient` is the

@@ -1349,7 +1349,6 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(Options options,
                                                       AsyncHandler handler) {
   if (options.num_threads == 0) options.num_threads = 1;
   if (options.max_connections == 0) options.max_connections = 1;
-  if (options.accept_queue == 0) options.accept_queue = 1;
   std::unique_ptr<HttpServer> server(
       new HttpServer(std::move(options), std::move(handler)));
 

@@ -175,10 +175,6 @@ class HttpServer {
     /// beyond it are shed with 503 + Retry-After at accept time, so a
     /// flood can never grow server memory.
     size_t max_connections = 64;
-    /// Kept for compatibility with the worker-pool transport: the event
-    /// loop has no accept queue (requests queue per-connection), so this
-    /// no longer gates admission — max_connections is the only cap.
-    size_t accept_queue = 16;
     /// Per-IP sustained requests/second; 0 disables rate limiting.
     double rate_limit_rps = 0;
     /// Token-bucket burst per IP; 0 -> max(rate_limit_rps, 1).

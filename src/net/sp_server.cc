@@ -228,7 +228,7 @@ Result<std::unique_ptr<SpServer>> SpServer::Start(api::Service* service,
                                       "Standing queries registered");
     metrics::Gauge* sub_pending =
         r.GetGauge("vchain_service_subscription_events_pending",
-                   "Buffered, undrained subscription events");
+                   "Subscription events held in the bounded redelivery log");
     metrics::Gauge* pc_hits =
         r.GetGauge("vchain_service_proof_cache_lru_hits",
                    "Lifetime hits of the shared disjointness-proof cache");

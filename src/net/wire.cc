@@ -446,8 +446,6 @@ std::string StatsToJson(const api::ServiceStats& stats) {
   obj.Set("subscriptions_active", JsonValue::Number(stats.subscriptions_active));
   obj.Set("subscription_events_pending",
           JsonValue::Number(stats.subscription_events_pending));
-  obj.Set("sub_matcher",
-          JsonValue::Str(sub::MatcherModeName(stats.sub_matcher)));
   obj.Set("sub_checkpoint_seq", JsonValue::Number(stats.sub_checkpoint_seq));
   auto lru = [](const LruStats& s) {
     JsonValue v = JsonValue::Object();
@@ -499,12 +497,6 @@ Result<api::ServiceStats> StatsFromJson(std::string_view json) {
       u64("subscriptions_active", &stats.subscriptions_active));
   VCHAIN_RETURN_IF_ERROR(u64("subscription_events_pending",
                              &stats.subscription_events_pending));
-  // Optional for wire compatibility with pre-matcher servers.
-  auto matcher = Member(obj, "sub_matcher", JsonValue::Kind::kString);
-  if (matcher.ok() && !sub::MatcherModeFromName(matcher.value()->as_string(),
-                                                &stats.sub_matcher)) {
-    return Status::InvalidArgument("wire: unknown sub matcher name");
-  }
   auto ckpt_seq = Member(obj, "sub_checkpoint_seq", JsonValue::Kind::kNumber);
   if (ckpt_seq.ok()) stats.sub_checkpoint_seq = ckpt_seq.value()->as_number();
   auto lru = [&obj](const std::string& key, LruStats* out) -> Status {

@@ -1,10 +1,11 @@
-// The clause-inverted index behind the indexed subscription matcher.
+// The clause-inverted index behind subscription matching.
 //
 // Pub/sub at scale inverts matching: instead of scanning every standing
-// query per block (linear in subscriptions), index the *clauses* of the
-// registered CNFs and let the block's attributes drive lookups. Every
-// transformed clause — a multiset of attribute elements — is interned once
-// by content and posted under each of its engine-mapped element ids:
+// query per block (linear in subscriptions), the subscription manager
+// indexes the *clauses* of the registered CNFs and lets the block's
+// attributes drive lookups. Every transformed clause — a multiset of
+// attribute elements — is interned once by content and posted under each of
+// its engine-mapped element ids:
 //
 //   * numeric range predicates arrive as their dyadic cover (§5.3), so the
 //     posting map doubles as a per-dimension interval tree laid out on the
@@ -18,14 +19,15 @@
 // relation the SP must reproduce bit-for-bit (core::MappedQueryView) runs in
 // the engine's mapped universe — engines whose mapping folds the element
 // space (acc2's universe reduction) make distinct raw elements collide, and
-// an index keyed by raw values would miss those hits and diverge from the
-// linear matcher.
+// an index keyed by raw values would miss those hits and diverge from
+// per-query matching.
 //
 // Per block the matcher marks every mapped element of the block's root
 // multiset (epoch-stamped, O(1) reset); a clause is "hit" iff some posting
 // matched, which is exactly "the mapped multisets intersect". A query is a
 // match candidate iff all of its clauses are hit; otherwise its exclusion
-// clause is the first non-hit clause in the linear matcher's wrap order.
+// clause is the first non-hit clause in MappedQueryView's wrap order
+// (FindDisjointClauseFrom).
 //
 // Interning is refcounted: clauses shared by many subscriptions (the common
 // case the paper's §7.1 BCIF exploits) cost one entry and one posting set

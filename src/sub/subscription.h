@@ -12,26 +12,26 @@
 //   * lazy (§7.2, Algorithm 5) — consecutive all-mismatch blocks are stacked
 //     and consolidated through the inter-block skip list; one aggregated
 //     disjointness proof (acc2's ProofSum/Sum) covers the entire run when a
-//     match finally flushes it. Lazy requires an aggregating engine.
+//     match finally flushes it. Lazy requires an aggregating engine and an
+//     intra-block index: a run's units authenticate each block through its
+//     index root, which flat (IndexMode::kNil) blocks do not have.
 //
-// Two matchers produce these notifications bit-identically (sub/match/):
-//
-//   * MatcherMode::kLinear — every block is matched against every standing
-//     query independently: per query, map the block's root multiset and scan
-//     the CNF (the paper's presentation; O(subscriptions) per block).
-//   * MatcherMode::kIndexed — the block drives matching through the
-//     clause-inverted index (sub/match/clause_index.h): the root multiset is
-//     mapped ONCE, each mapped element marks the interned clauses posting
-//     it, and per query only a hit-flag scan remains. Queries with a non-hit
-//     clause take the exclusion fast path — their notification differs only
-//     in query_id and clause_idx, so one root-mismatch template (one cached
-//     proof probe) is built per distinct exclusion clause and stamped per
-//     subscriber. Queries whose clauses were all hit are *candidates*: full
-//     CNF proof-tree evaluation runs once per group of subscriptions with
-//     identical clause content (identical content fixes the entire proof
-//     walk, terminal cells included, because equal range covers imply equal
-//     range boxes and the grid freezes cells at registration — see
-//     ip_tree.h), then the group notification is stamped per subscriber.
+// Matching is driven by the block, not by the subscriber list: the
+// clause-inverted index (sub/match/clause_index.h) maps the block's root
+// multiset ONCE, each mapped element marks the interned clauses posting it,
+// and per query only a hit-flag scan remains. Queries with a non-hit clause
+// take the exclusion fast path — their notification differs only in
+// query_id and clause_idx, so one root-mismatch template (one cached proof
+// probe) is built per distinct exclusion clause and stamped per subscriber.
+// Queries whose clauses were all hit are *candidates*: full CNF proof-tree
+// evaluation runs once per group of subscriptions with identical clause
+// content (identical content fixes the entire proof walk, terminal cells
+// included, because equal range covers imply equal range boxes and the grid
+// freezes cells at registration — see ip_tree.h), then the group
+// notification is stamped per subscriber. Every notification is
+// byte-identical to matching each query on its own (§7's presentation,
+// which RebuildNotification still performs for one query); the tests keep
+// that per-query scan as the oracle.
 //
 // Proof sharing across queries (§7.1's motivation) happens through a
 // content-keyed decision memo + proof cache: one (index node, clause/cell)
@@ -39,10 +39,10 @@
 // IP-Tree provides the grid cells, query classification, and fallback
 // handling for queries the grid cannot resolve.
 //
-// Subscribe/Unsubscribe are incremental in both modes: interning and
-// releasing postings, plus an incremental grid insert — no structure is
-// rebuilt. Snapshot()/Restore() expose the full registration + lazy-run
-// state for checkpoint persistence (sub/match/checkpoint.h).
+// Subscribe/Unsubscribe are incremental: interning and releasing postings,
+// plus an incremental grid insert — no structure is rebuilt.
+// Snapshot()/Restore() expose the full registration + lazy-run state for
+// checkpoint persistence (sub/match/checkpoint.h).
 
 #ifndef VCHAIN_SUB_SUBSCRIPTION_H_
 #define VCHAIN_SUB_SUBSCRIPTION_H_
@@ -58,7 +58,6 @@
 #include "core/processor.h"
 #include "sub/ip_tree.h"
 #include "sub/match/clause_index.h"
-#include "sub/match/matcher.h"
 #include "sub/match/metrics.h"
 
 namespace vchain::sub {
@@ -156,14 +155,12 @@ class SubscriptionManager {
  public:
   struct Options {
     bool use_ip_tree = true;  ///< share decisions/proofs across queries
-    bool lazy = false;        ///< Algorithm 5 (requires aggregation support)
+    bool lazy = false;        ///< Algorithm 5 (aggregating engine, not kNil)
     /// Prove range mismatches with grid-cell disjointness (sharable across
     /// queries with different ranges) before falling back to the query's own
     /// range-cover clause. Both strategies are sound; a range clause always
     /// exists, so this is purely a proof-sharing policy.
     bool prefer_cell_exclusions = false;
-    /// Matching strategy; notifications are bit-identical either way.
-    MatcherMode matcher = MatcherMode::kIndexed;
     IpTree::Options ip;
   };
 
@@ -181,6 +178,7 @@ class SubscriptionManager {
   /// matching nothing. The raw unvalidated Subscribe this wrapped is gone —
   /// every registration validates.
   Result<uint32_t> TrySubscribe(const Query& q) {
+    VCHAIN_RETURN_IF_ERROR(CheckLazyMode());
     VCHAIN_RETURN_IF_ERROR(core::ValidateQuery(q, config_.schema));
     uint32_t id = ip_tree_.Register(q);
     InstallRuntime(id, q);
@@ -200,18 +198,16 @@ class SubscriptionManager {
 
   const IpTree& ip_tree() const { return ip_tree_; }
   const ClauseIndex& clause_index() const { return index_; }
-  MatcherMode matcher() const { return options_.matcher; }
   size_t NumActive() const { return runtime_.size(); }
 
   /// Realtime processing of a newly confirmed block: one notification per
-  /// active query (ascending query id), identical bytes for both matchers.
+  /// active query (ascending query id), byte-identical to what
+  /// RebuildNotification returns for each query on its own.
   std::vector<SubNotification<Engine>> ProcessBlock(
       const Block<Engine>& block) {
     SubMetrics& m = SubMetrics::Get();
     metrics::ScopedTimer timer(m.match_seconds);
-    std::vector<SubNotification<Engine>> out =
-        options_.matcher == MatcherMode::kIndexed ? ProcessBlockIndexed(block)
-                                                  : ProcessBlockLinear(block);
+    std::vector<SubNotification<Engine>> out = ProcessBlockIndexed(block);
     m.notified->Inc(out.size());
     for (const auto& n : out) {
       if (!n.objects.empty()) m.matched->Inc();
@@ -245,29 +241,13 @@ class SubscriptionManager {
     return out;
   }
 
-  /// Lazy-mode drain (acc2 only); see ProcessNewBlocks / ProcessBlockLazy.
-  std::vector<LazyBatch<Engine>> ProcessNewBlocksLazy(
-      const store::BlockSource<Engine>& source, uint64_t* next_height,
-      uint64_t max_blocks = kDefaultDrainBatch) {
-    std::vector<LazyBatch<Engine>> out;
-    for (uint64_t n = 0; n < max_blocks && *next_height < source.NumBlocks();
-         ++n, ++*next_height) {
-      auto batch = ProcessBlockLazy(source.BlockAt(*next_height));
-      out.insert(out.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
-    }
-    return out;
-  }
-
   /// Lazy processing (acc2 only): returns batches for queries flushed by
   /// this block (matches); silent queries keep accumulating.
   std::vector<LazyBatch<Engine>> ProcessBlockLazy(const Block<Engine>& block) {
     static_assert(Engine::kSupportsAggregation,
                   "lazy authentication requires an aggregating engine");
     metrics::ScopedTimer timer(SubMetrics::Get().match_seconds);
-    return options_.matcher == MatcherMode::kIndexed
-               ? ProcessBlockLazyIndexed(block)
-               : ProcessBlockLazyLinear(block);
+    return ProcessBlockLazyIndexed(block);
   }
 
   /// Re-match one already-mined block against a single standing query —
@@ -327,6 +307,7 @@ class SubscriptionManager {
   /// instance (insertion order differs) — notifications stay sound and
   /// verifiable; cross-restart byte equality is not part of the contract.
   Status Restore(const SubscriptionSnapshot<Engine>& snap) {
+    VCHAIN_RETURN_IF_ERROR(CheckLazyMode());
     for (const auto& e : snap.queries) {
       VCHAIN_RETURN_IF_ERROR(core::ValidateQuery(e.query, config_.schema));
       VCHAIN_RETURN_IF_ERROR(ip_tree_.RegisterWithId(e.id, e.query));
@@ -338,7 +319,7 @@ class SubscriptionManager {
       if (it == runtime_.end()) {
         return Status::Corruption("lazy state for unknown subscription");
       }
-      if (e.clause_idx >= NumClauses(it->second)) {
+      if (e.clause_idx >= it->second.clause_ids.size()) {
         return Status::Corruption("lazy clause index out of range");
       }
       LazyState st;
@@ -361,15 +342,15 @@ class SubscriptionManager {
     /// TransformQuery's clause order); clause search starts here so shared
     /// keyword proofs are preferred over per-query range proofs.
     size_t first_keyword_clause = 0;
-    /// kIndexed: interned clause refs in TransformQuery order, plus the
+    /// Interned clause refs in TransformQuery order, plus the
     /// grouped-dispatch key (clause_ids + first_keyword_clause). Identical
     /// keys imply identical notifications up to query_id.
     std::vector<uint32_t> clause_ids;
     std::vector<uint32_t> group_key;
-    /// Materialized lazily under kIndexed (only group representatives and
-    /// lazy flushes need the full view); eager under kLinear. At a million
-    /// standing queries the per-query mapped views are the dominant memory,
-    /// and the indexed matcher's point is to not need them.
+    /// Materialized on first use (only group representatives and
+    /// redeliveries walk a proof tree). At a million standing queries the
+    /// per-query mapped views would be the dominant memory, and the clause
+    /// index's point is to not need them.
     std::unique_ptr<TransformedQuery> tq;
     std::unique_ptr<MappedQueryView> view;
   };
@@ -396,29 +377,32 @@ class SubscriptionManager {
     return block.block_w;
   }
 
+  /// Lazy units authenticate each block through its index root, which a
+  /// flat chain does not have (Block::root_index == -1, no nodes).
+  Status CheckLazyMode() const {
+    if (options_.lazy && config_.mode == IndexMode::kNil) {
+      return Status::InvalidArgument(
+          "lazy subscriptions need an intra-block index (mode != kNil)");
+    }
+    return Status::OK();
+  }
+
   void InstallRuntime(uint32_t id, const Query& q) {
     QueryRuntime rt;
     rt.first_keyword_clause = q.ranges.size();
-    if (options_.matcher == MatcherMode::kIndexed) {
-      TransformedQuery tq = core::TransformQuery(q, config_.schema);
-      rt.clause_ids.reserve(tq.clauses.size());
-      for (size_t ci = 0; ci < tq.clauses.size(); ++ci) {
-        std::vector<uint64_t> mapped;
-        mapped.reserve(tq.clauses[ci].DistinctSize());
-        for (const Multiset::Entry& e : tq.clauses[ci].entries()) {
-          mapped.push_back(engine_.MapElement(e.element));
-        }
-        rt.clause_ids.push_back(index_.Intern(tq.clauses[ci],
-                                              std::move(mapped),
-                                              ci < rt.first_keyword_clause));
+    TransformedQuery tq = core::TransformQuery(q, config_.schema);
+    rt.clause_ids.reserve(tq.clauses.size());
+    for (size_t ci = 0; ci < tq.clauses.size(); ++ci) {
+      std::vector<uint64_t> mapped;
+      mapped.reserve(tq.clauses[ci].DistinctSize());
+      for (const Multiset::Entry& e : tq.clauses[ci].entries()) {
+        mapped.push_back(engine_.MapElement(e.element));
       }
-      rt.group_key = rt.clause_ids;
-      rt.group_key.push_back(static_cast<uint32_t>(rt.first_keyword_clause));
-    } else {
-      rt.tq = std::make_unique<TransformedQuery>(
-          core::TransformQuery(q, config_.schema));
-      rt.view = std::make_unique<MappedQueryView>(engine_, *rt.tq);
+      rt.clause_ids.push_back(index_.Intern(tq.clauses[ci], std::move(mapped),
+                                            ci < rt.first_keyword_clause));
     }
+    rt.group_key = rt.clause_ids;
+    rt.group_key.push_back(static_cast<uint32_t>(rt.first_keyword_clause));
     runtime_.emplace(id, std::move(rt));
   }
 
@@ -435,59 +419,7 @@ class SubscriptionManager {
     return rt;
   }
 
-  size_t NumClauses(const QueryRuntime& rt) const {
-    return options_.matcher == MatcherMode::kIndexed ? rt.clause_ids.size()
-                                                     : rt.tq->clauses.size();
-  }
-
-  /// The clause multiset for proofs — interned content under kIndexed, the
-  /// per-query transform under kLinear. Same bytes either way, so proof
-  /// cache keys (H(digest | clause)) coincide across queries and matchers.
-  const Multiset& ClauseSet(const QueryRuntime& rt, uint32_t clause_idx) {
-    if (options_.matcher == MatcherMode::kIndexed) {
-      return index_.SetOf(rt.clause_ids[clause_idx]);
-    }
-    return rt.tq->clauses[clause_idx];
-  }
-
-  // --- linear matcher -----------------------------------------------------
-
-  std::vector<SubNotification<Engine>> ProcessBlockLinear(
-      const Block<Engine>& block) {
-    std::vector<SubNotification<Engine>> out;
-    for (uint32_t id : ip_tree_.ActiveQueryIds()) {
-      out.push_back(BuildNotification(block, id));
-    }
-    return out;
-  }
-
-  std::vector<LazyBatch<Engine>> ProcessBlockLazyLinear(
-      const Block<Engine>& block) {
-    std::vector<LazyBatch<Engine>> out;
-    for (uint32_t id : ip_tree_.ActiveQueryIds()) {
-      const QueryRuntime& rt = runtime_.at(id);
-      LazyState& state = lazy_state_[id];
-      const Multiset& root_w = RootW(block);
-      rt.view->MapForMatch(engine_, root_w, &mapped_w_);
-      int clause =
-          rt.view->FindDisjointClauseFrom(mapped_w_, rt.first_keyword_clause);
-      if (clause >= 0) {
-        AppendPending(block, id, static_cast<uint32_t>(clause), &state, &out,
-                      [&](size_t, const core::SkipEntry<Engine>& skip) {
-                        return !rt.view->ClauseIntersects(
-                            engine_, skip.w, static_cast<size_t>(clause));
-                      });
-      } else {
-        // Root matches: flush pending evidence + full proof tree now.
-        LazyBatch<Engine> batch = FlushState(id, &state);
-        batch.match = BuildNotification(block, id);
-        out.push_back(std::move(batch));
-      }
-    }
-    return out;
-  }
-
-  // --- indexed matcher ----------------------------------------------------
+  // --- block-driven matching ----------------------------------------------
 
   /// Map the block's root multiset once and mark every posting clause.
   void ProbeBlock(const Block<Engine>& block) {
@@ -497,9 +429,9 @@ class SubscriptionManager {
     }
   }
 
-  /// The linear matcher's FindDisjointClauseFrom, answered from hit flags:
-  /// first clause in wrap order from first_keyword_clause whose interned
-  /// content was not hit by the block.
+  /// MappedQueryView::FindDisjointClauseFrom on the root, answered from hit
+  /// flags: first clause in wrap order from first_keyword_clause whose
+  /// interned content was not hit by the block.
   int FirstNonHitClause(const QueryRuntime& rt) const {
     size_t n = rt.clause_ids.size();
     for (size_t k = 0; k < n; ++k) {
@@ -597,12 +529,9 @@ class SubscriptionManager {
       LazyState& state = lazy_state_[id];
       int clause = FirstNonHitClause(rt);
       if (clause >= 0) {
-        AppendPending(block, id, static_cast<uint32_t>(clause), &state, &out,
-                      [&](size_t li, const core::SkipEntry<Engine>& skip) {
-                        return SkipDisjointIndexed(
-                            block, li, skip,
-                            rt.clause_ids[static_cast<size_t>(clause)]);
-                      });
+        AppendPending(block, id, static_cast<uint32_t>(clause),
+                      rt.clause_ids[static_cast<size_t>(clause)], &state,
+                      &out);
       } else {
         m.candidates->Inc();
         LazyBatch<Engine> batch = FlushState(id, &state);
@@ -624,8 +553,7 @@ class SubscriptionManager {
   /// Is the skip entry's summed multiset disjoint from the interned clause,
   /// in mapped space? Memoized per (level, clause content) per block — the
   /// decision depends on nothing per-query.
-  bool SkipDisjointIndexed(const Block<Engine>& block, size_t li,
-                           const core::SkipEntry<Engine>& skip,
+  bool SkipDisjointIndexed(size_t li, const core::SkipEntry<Engine>& skip,
                            uint32_t interned_clause) {
     uint64_t key = (static_cast<uint64_t>(li) << 32) | interned_clause;
     auto memo = skip_memo_.find(key);
@@ -655,7 +583,7 @@ class SubscriptionManager {
     return index_.MappedOf(interned_clause);
   }
 
-  // --- realtime proof walk (shared by both matchers) ----------------------
+  // --- realtime proof walk -------------------------------------------------
 
   SubNotification<Engine> BuildNotification(const Block<Engine>& block,
                                             uint32_t query_id) {
@@ -777,8 +705,8 @@ class SubscriptionManager {
                           const typename Engine::ObjectDigest& digest,
                           uint32_t query_id, uint32_t clause_idx,
                           SubVoNode<Engine>* n) {
-    QueryRuntime& rt = runtime_.at(query_id);
-    auto proof = Prove(digest, w, ClauseSet(rt, clause_idx));
+    const QueryRuntime& rt = runtime_.at(query_id);
+    auto proof = Prove(digest, w, index_.SetOf(rt.clause_ids[clause_idx]));
     SubExclusion<Engine> ex;
     ex.is_cell = false;
     ex.clause_idx = clause_idx;
@@ -816,16 +744,14 @@ class SubscriptionManager {
     return proof.TakeValue();
   }
 
-  // --- lazy (shared by both matchers) -------------------------------------
+  // --- lazy ---------------------------------------------------------------
 
-  /// `skip_disjoint(level, skip)` answers "does the skip's summed multiset
-  /// avoid the chosen clause" — per-query view scan under kLinear, memoized
-  /// content probe under kIndexed; identical relation either way.
-  template <typename SkipDisjoint>
+  /// Append `block` to the query's silent run, flushing first when the
+  /// exclusion clause changes. Consolidates through the block's skip list
+  /// when `interned_clause` avoids a skip's summed multiset.
   void AppendPending(const Block<Engine>& block, uint32_t query_id,
-                     uint32_t clause_idx, LazyState* state,
-                     std::vector<LazyBatch<Engine>>* out,
-                     SkipDisjoint&& skip_disjoint) {
+                     uint32_t clause_idx, uint32_t interned_clause,
+                     LazyState* state, std::vector<LazyBatch<Engine>>* out) {
     if (!state->units.empty() && state->clause_idx != clause_idx) {
       out->push_back(FlushState(query_id, state));
     }
@@ -849,7 +775,7 @@ class SubscriptionManager {
         }
         if (!contiguous) continue;
         // The skip's summed multiset must still avoid the clause.
-        if (!skip_disjoint(li, skip)) continue;
+        if (!SkipDisjointIndexed(li, skip, interned_clause)) continue;
         // Replace the run with one skip unit.
         for (uint64_t k = 0; k < skip.distance; ++k) {
           state->units.pop_back();
@@ -892,10 +818,11 @@ class SubscriptionManager {
       // Heights covered: derive from the unit list.
       batch.from_height = UnitLow(batch.units.front());
       batch.to_height = UnitHigh(batch.units.back());
-      QueryRuntime& rt = runtime_.at(query_id);
+      const QueryRuntime& rt = runtime_.at(query_id);
       auto digest = engine_.Digest(state->w_sum);
-      auto proof = cache_.GetOrProve(engine_, digest, state->w_sum,
-                                     ClauseSet(rt, batch.clause_idx));
+      auto proof =
+          cache_.GetOrProve(engine_, digest, state->w_sum,
+                            index_.SetOf(rt.clause_ids[batch.clause_idx]));
       assert(proof.ok());
       batch.agg_proof = proof.TakeValue();
     }
@@ -927,7 +854,7 @@ class SubscriptionManager {
   std::map<uint32_t, LazyState> lazy_state_;
   ProofCache<Engine> cache_;
   std::vector<uint64_t> mapped_w_;  // per-node mapping scratch
-  // Per-block lazy-mode scratch (indexed matcher): mapped skip multisets by
+  // Per-block lazy-mode scratch: mapped skip multisets by
   // level and the (level, clause) disjointness memo.
   std::vector<std::vector<uint64_t>> mapped_skips_;
   std::vector<bool> mapped_skips_ready_;

@@ -128,7 +128,6 @@ TEST(OverloadTest, FloodIsShedWith503AndBoundedState) {
   HttpServer::Options opts;
   opts.num_threads = 1;
   opts.max_connections = 2;
-  opts.accept_queue = 1;
   opts.recv_timeout_seconds = 1;  // close served keep-alive conns quickly
   auto server = HttpServer::Start(opts, [](const HttpRequest&) {
     SleepMs(400);

@@ -1,7 +1,8 @@
-// The indexed subscription matcher (sub/match/): clause-index units,
-// randomized linear-vs-indexed equivalence (byte-identical notifications
-// across all four engines, all index modes, lazy included), subscribe/
-// unsubscribe churn, and service-level subscribe-during-append stress.
+// The subscription matcher (sub/match/): clause-index units, randomized
+// equivalence against the per-query oracle (tests/sub/match_oracle.h;
+// byte-identical notifications across all four engines, all index modes,
+// lazy included), subscribe/unsubscribe churn, and service-level
+// subscribe-during-append stress.
 
 #include "sub/match/clause_index.h"
 
@@ -12,6 +13,7 @@
 #include "api/service.h"
 #include "common/rand.h"
 #include "core/vchain.h"
+#include "match_oracle.h"
 #include "sub/sub_serde.h"
 #include "sub/subscription.h"
 
@@ -182,10 +184,10 @@ Bytes BatchBytes(const Engine& e, const LazyBatch<Engine>& b) {
 
 template <typename Engine>
 void ExpectBlockEquivalent(MatchEnv<Engine>& env,
-                           SubscriptionManager<Engine>& linear,
+                           SubscriptionManager<Engine>& oracle,
                            SubscriptionManager<Engine>& indexed,
                            const core::Block<Engine>& block) {
-  auto a = linear.ProcessBlock(block);
+  auto a = OracleProcessBlock(oracle, block);
   auto b = indexed.ProcessBlock(block);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -200,31 +202,29 @@ void RunEquivalence(uint64_t seed, size_t n_subs, size_t n_blocks,
                     core::IndexMode mode = core::IndexMode::kBoth,
                     bool prefer_cells = false, bool use_ip_tree = true) {
   MatchEnv<Engine> env(mode);
-  typename SubscriptionManager<Engine>::Options lin, idx;
-  lin.matcher = MatcherMode::kLinear;
-  idx.matcher = MatcherMode::kIndexed;
-  lin.prefer_cell_exclusions = idx.prefer_cell_exclusions = prefer_cells;
-  lin.use_ip_tree = idx.use_ip_tree = use_ip_tree;
-  SubscriptionManager<Engine> linear(env.engine, env.config, lin);
-  SubscriptionManager<Engine> indexed(env.engine, env.config, idx);
+  typename SubscriptionManager<Engine>::Options opts;
+  opts.prefer_cell_exclusions = prefer_cells;
+  opts.use_ip_tree = use_ip_tree;
+  SubscriptionManager<Engine> oracle(env.engine, env.config, opts);
+  SubscriptionManager<Engine> indexed(env.engine, env.config, opts);
 
   Rng rng(seed);
   for (size_t i = 0; i < n_subs; ++i) {
     Query q = RandomQuery(&rng);
-    auto ida = linear.TrySubscribe(q);
+    auto ida = oracle.TrySubscribe(q);
     auto idb = indexed.TrySubscribe(q);
     ASSERT_TRUE(ida.ok());
     ASSERT_TRUE(idb.ok());
     ASSERT_EQ(ida.value(), idb.value());
     if (rng.Below(4) == 0) {  // explicit duplicate: exercises grouping
-      ASSERT_EQ(linear.TrySubscribe(q).value(), indexed.TrySubscribe(q).value());
+      ASSERT_EQ(oracle.TrySubscribe(q).value(), indexed.TrySubscribe(q).value());
     }
   }
   // Match-bearing blocks, then all-mismatch blocks (empty-match path).
   env.Mine(n_blocks / 2 + 1, /*allow_matches=*/true, seed * 7 + 1);
   env.Mine(n_blocks / 2, /*allow_matches=*/false, seed * 7 + 2);
   for (const auto& block : env.builder->blocks()) {
-    ExpectBlockEquivalent(env, linear, indexed, block);
+    ExpectBlockEquivalent(env, oracle, indexed, block);
   }
 }
 
@@ -259,24 +259,22 @@ TEST(SubMatchEquivalenceModesTest, FlatModeAndCellPolicyAndNoSharing) {
 }
 
 TEST(SubMatchEquivalenceModesTest, OnlySilentSubscriptions) {
-  // Every query silent on every block: pure mismatch fast path vs linear.
+  // Every query silent on every block: pure mismatch fast path vs oracle.
   MatchEnv<accum::MockAcc2Engine> env;
-  typename SubscriptionManager<accum::MockAcc2Engine>::Options lin, idx;
-  lin.matcher = MatcherMode::kLinear;
-  idx.matcher = MatcherMode::kIndexed;
-  SubscriptionManager<accum::MockAcc2Engine> linear(env.engine, env.config,
-                                                    lin);
+  typename SubscriptionManager<accum::MockAcc2Engine>::Options opts;
+  SubscriptionManager<accum::MockAcc2Engine> oracle(env.engine, env.config,
+                                                    opts);
   SubscriptionManager<accum::MockAcc2Engine> indexed(env.engine, env.config,
-                                                     idx);
+                                                     opts);
   Query q;
   q.keyword_cnf = {{"nosuchword"}};
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(linear.TrySubscribe(q).ok());
+    ASSERT_TRUE(oracle.TrySubscribe(q).ok());
     ASSERT_TRUE(indexed.TrySubscribe(q).ok());
   }
   env.Mine(4, /*allow_matches=*/false, 9);
   for (const auto& block : env.builder->blocks()) {
-    ExpectBlockEquivalent(env, linear, indexed, block);
+    ExpectBlockEquivalent(env, oracle, indexed, block);
   }
 }
 
@@ -285,23 +283,21 @@ TEST(SubMatchEquivalenceModesTest, OnlySilentSubscriptions) {
 template <typename Engine>
 void RunLazyEquivalence(uint64_t seed, size_t n_subs, size_t n_blocks) {
   MatchEnv<Engine> env;
-  typename SubscriptionManager<Engine>::Options lin, idx;
-  lin.lazy = idx.lazy = true;
-  lin.matcher = MatcherMode::kLinear;
-  idx.matcher = MatcherMode::kIndexed;
-  SubscriptionManager<Engine> linear(env.engine, env.config, lin);
-  SubscriptionManager<Engine> indexed(env.engine, env.config, idx);
+  typename SubscriptionManager<Engine>::Options opts;
+  opts.lazy = true;
+  LazyOracle<Engine> oracle(env.engine, env.config, opts);
+  SubscriptionManager<Engine> indexed(env.engine, env.config, opts);
   Rng rng(seed);
   for (size_t i = 0; i < n_subs; ++i) {
     Query q = RandomQuery(&rng);
-    ASSERT_EQ(linear.TrySubscribe(q).value(), indexed.TrySubscribe(q).value());
+    ASSERT_EQ(oracle.TrySubscribe(q).value(), indexed.TrySubscribe(q).value());
   }
   // Long silent runs (skip consolidation) punctuated by match blocks.
   env.Mine(n_blocks, /*allow_matches=*/false, seed + 1);
   env.Mine(1, /*allow_matches=*/true, seed + 2);
   env.Mine(n_blocks, /*allow_matches=*/false, seed + 3);
   for (const auto& block : env.builder->blocks()) {
-    auto a = linear.ProcessBlockLazy(block);
+    auto a = oracle.ProcessBlockLazy(block);
     auto b = indexed.ProcessBlockLazy(block);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -309,7 +305,7 @@ void RunLazyEquivalence(uint64_t seed, size_t n_subs, size_t n_blocks) {
       EXPECT_EQ(BatchBytes(env.engine, a[i]), BatchBytes(env.engine, b[i]));
     }
   }
-  auto fa = linear.FlushAll();
+  auto fa = oracle.FlushAll();
   auto fb = indexed.FlushAll();
   ASSERT_EQ(fa.size(), fb.size());
   for (size_t i = 0; i < fa.size(); ++i) {
@@ -329,20 +325,18 @@ TEST(SubMatchLazyEquivalenceTest, Acc2) {
 
 TEST(SubMatchChurnTest, SubscribeUnsubscribeInterleavedWithBlocks) {
   MatchEnv<accum::MockAcc2Engine> env;
-  typename SubscriptionManager<accum::MockAcc2Engine>::Options lin, idx;
-  lin.matcher = MatcherMode::kLinear;
-  idx.matcher = MatcherMode::kIndexed;
-  SubscriptionManager<accum::MockAcc2Engine> linear(env.engine, env.config,
-                                                    lin);
+  typename SubscriptionManager<accum::MockAcc2Engine>::Options opts;
+  SubscriptionManager<accum::MockAcc2Engine> oracle(env.engine, env.config,
+                                                    opts);
   SubscriptionManager<accum::MockAcc2Engine> indexed(env.engine, env.config,
-                                                     idx);
+                                                     opts);
   Rng rng(77);
   std::vector<uint32_t> live;
   for (int round = 0; round < 20; ++round) {
     uint32_t n_new = rng.Below(3);
     for (uint32_t i = 0; i < n_new; ++i) {
       Query q = RandomQuery(&rng);
-      auto ida = linear.TrySubscribe(q);
+      auto ida = oracle.TrySubscribe(q);
       auto idb = indexed.TrySubscribe(q);
       ASSERT_TRUE(ida.ok());
       ASSERT_EQ(ida.value(), idb.value());
@@ -352,14 +346,14 @@ TEST(SubMatchChurnTest, SubscribeUnsubscribeInterleavedWithBlocks) {
       size_t pick = rng.Below(live.size());
       uint32_t id = live[pick];
       live.erase(live.begin() + pick);
-      linear.Unsubscribe(id);
+      oracle.Unsubscribe(id);
       indexed.Unsubscribe(id);
     }
-    ASSERT_EQ(linear.NumActive(), live.size());
+    ASSERT_EQ(oracle.NumActive(), live.size());
     ASSERT_EQ(indexed.NumActive(), live.size());
     env.Mine(1, /*allow_matches=*/rng.Below(2) == 0, 1000 + round);
     const auto& block = env.builder->blocks().back();
-    ExpectBlockEquivalent(env, linear, indexed, block);
+    ExpectBlockEquivalent(env, oracle, indexed, block);
   }
   // Releasing every subscription empties the clause index completely.
   for (uint32_t id : live) indexed.Unsubscribe(id);
@@ -412,7 +406,6 @@ TEST(SubMatchServiceTest, SubscribeChurnDuringAppends) {
   churner.join();
   auto stats = svc->Stats();
   EXPECT_EQ(stats.num_blocks, 30u);
-  EXPECT_EQ(stats.sub_matcher, MatcherMode::kIndexed);
   // Every event a surviving subscriber reads carries a drained height.
   for (uint32_t id : ids) {
     auto batch = svc->EventsSince(id, /*cursor=*/0, /*max_events=*/64);

@@ -8,6 +8,7 @@
 
 #include "common/rand.h"
 #include "core/vchain.h"
+#include "match_oracle.h"
 #include "sub/sub_serde.h"
 #include "sub/sub_verifier.h"
 
@@ -313,14 +314,40 @@ TEST(LazySubscriptionTest, TamperedBatchRejected) {
   EXPECT_GT(LazyBatchByteSize(env.engine, batches[0]), 0u);
 }
 
+TEST(LazySubscriptionTest, FlatChainRejected) {
+  // Lazy units authenticate blocks through the intra-block index root, which
+  // a kNil chain does not build: registration must refuse, not crash later.
+  SubEnv<accum::MockAcc2Engine> env;
+  core::ChainConfig flat = env.config;
+  flat.mode = core::IndexMode::kNil;
+  typename SubscriptionManager<accum::MockAcc2Engine>::Options opts;
+  opts.lazy = true;
+  SubscriptionManager<accum::MockAcc2Engine> mgr(env.engine, flat, opts);
+  Query q = env.MatchZoneQuery();
+  auto id = mgr.TrySubscribe(q);
+  ASSERT_FALSE(id.ok());
+  EXPECT_TRUE(id.status().IsInvalidArgument()) << id.status().ToString();
+
+  SubscriptionSnapshot<accum::MockAcc2Engine> snap;
+  snap.next_query_id = 1;
+  snap.queries.push_back({0, q});
+  Status st = mgr.Restore(snap);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(mgr.NumActive(), 0u);
+
+  // The same options over the indexed chain register normally.
+  SubscriptionManager<accum::MockAcc2Engine> indexed(env.engine, env.config,
+                                                     opts);
+  EXPECT_TRUE(indexed.TrySubscribe(q).ok());
+}
+
 TEST(SharedProofTest, IpTreeModeSharesProofsAcrossQueries) {
   SubEnv<accum::MockAcc2Engine> env;
   typename SubscriptionManager<accum::MockAcc2Engine>::Options ip_opts;
   ip_opts.use_ip_tree = true;
-  // The linear matcher walks every query independently, so cross-query
-  // sharing shows up as proof-cache hits (the indexed matcher shares
+  // The per-query oracle walks every query independently, so cross-query
+  // sharing shows up as proof-cache hits (the manager's own matcher shares
   // upstream of the cache — covered by the test below).
-  ip_opts.matcher = MatcherMode::kLinear;
   SubscriptionManager<accum::MockAcc2Engine> mgr(env.engine, env.config,
                                                  ip_opts);
   // Many subscriptions sharing the same clause.
@@ -329,7 +356,7 @@ TEST(SharedProofTest, IpTreeModeSharesProofsAcrossQueries) {
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(mgr.TrySubscribe(q).ok());
   env.Mine(3, false, 8);
   for (const auto& block : env.builder->blocks()) {
-    mgr.ProcessBlock(block);
+    OracleProcessBlock(mgr, block);
   }
   const auto& stats = mgr.cache_stats();
   // 8 identical queries: all but the first hit the shared cache.
@@ -339,7 +366,6 @@ TEST(SharedProofTest, IpTreeModeSharesProofsAcrossQueries) {
 TEST(SharedProofTest, IndexedMatcherSharesWorkUpstreamOfCache) {
   SubEnv<accum::MockAcc2Engine> env;
   typename SubscriptionManager<accum::MockAcc2Engine>::Options opts;
-  opts.matcher = MatcherMode::kIndexed;
   SubscriptionManager<accum::MockAcc2Engine> mgr(env.engine, env.config, opts);
   Query q;
   q.keyword_cnf = {{"nosuchword"}};
@@ -352,7 +378,7 @@ TEST(SharedProofTest, IndexedMatcherSharesWorkUpstreamOfCache) {
     EXPECT_EQ(notifs.size(), 8u);
   }
   // Grouped dispatch proves each (digest, clause) pair exactly once — the
-  // cache never even sees the 7 duplicate probes the linear matcher makes.
+  // cache never even sees the 7 duplicate probes the per-query oracle makes.
   const auto& stats = mgr.cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 3u);  // one root-mismatch proof per block
