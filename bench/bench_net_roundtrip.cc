@@ -151,7 +151,11 @@ int main(int argc, char** argv) {
       if (!svc->Append(std::move(objs), ts).ok()) std::abort();
     }
 
+    // Own registry per server: the active-connection gauge below must not
+    // count the previous engine's server.
+    metrics::Registry registry;
     net::SpServer::Options sopts;
+    sopts.http.registry = &registry;
     sopts.http.num_threads = 2;
     sopts.http.max_connections = idle_target + 16;
     sopts.http.recv_timeout_seconds = 300;  // the idles must outlive the run
@@ -210,8 +214,10 @@ int main(int argc, char** argv) {
     // steady state so the accept burst is not what gets measured.
     IdleHolder idle = HoldIdleConnections(server->port(), idle_target);
     held_idle = idle.held;
+    const metrics::Gauge* active = registry.GetGauge(
+        "vchain_http_active_connections", "");
     for (int spins = 0; spins < 2000; ++spins) {
-      if (server->http_stats().active_connections > held_idle) break;
+      if (active->Value() > static_cast<double>(held_idle)) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     measure("wire-query-idle", [&] {

@@ -15,7 +15,6 @@
 //        --demo-query                       use the canonical demo query
 //        --window TS TE | --range DIM LO HI | --all KW | --any KW (repeat)
 //        --expect-hash HEX                  fail unless response hash matches
-//        --stats                            also print /stats JSON
 //        --timing                           print client wall time + the SP's
 //                                           per-stage trace (X-Vchain-Trace)
 //        --trace                            render the SP's span tree
@@ -315,17 +314,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("subscription: verified %zu notification(s)\n", got);
-  }
-
-  if (flags.Has("--stats")) {
-    auto stats = client->Stats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "stats failed: %s\n",
-                   stats.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("stats: %s\n",
-                vchain::net::StatsToJson(stats.value()).c_str());
   }
   return 0;
 }

@@ -366,13 +366,7 @@ class ServiceBackend final : public IServiceBackend {
         engine_(std::move(engine)),
         proof_cache_(options_.config.proof_cache_capacity,
                      options_.proof_cache_shards),
-        subs_(engine_, options_.config, SubOptions()) {}
-
-  typename sub::SubscriptionManager<Engine>::Options SubOptions() const {
-    typename sub::SubscriptionManager<Engine>::Options o;
-    o.use_ip_tree = options_.subscriptions_share_proofs;
-    return o;
-  }
+        subs_(engine_, options_.config, {}) {}
 
   /// Rebuild subscription state from the latest valid checkpoint slot, then
   /// catch up on blocks mined while the SP was down (their notifications are

@@ -39,8 +39,6 @@ struct QueryMetrics {
   metrics::Histogram* stage_serialize;
   metrics::Counter* queries_total;
   metrics::Counter* query_errors_total;
-  metrics::Counter* proof_cache_hits_total;
-  metrics::Counter* proof_cache_misses_total;
 
   static const QueryMetrics& Get() {
     static const QueryMetrics m = [] {
@@ -69,12 +67,6 @@ struct QueryMetrics {
       out.query_errors_total = r.GetCounter(
           "vchain_service_query_errors_total",
           "Queries rejected or failed (validation errors included)");
-      out.proof_cache_hits_total =
-          r.GetCounter("vchain_service_proof_cache_hits_total",
-                       "Disjointness-proof cache hits observed by queries");
-      out.proof_cache_misses_total =
-          r.GetCounter("vchain_service_proof_cache_misses_total",
-                       "Disjointness-proof cache misses (proofs computed)");
       return out;
     }();
     return m;
@@ -127,8 +119,6 @@ void ObserveQueryTrace(const core::QueryTrace& t, bool ok) {
   m.stage_aggregate->Observe(static_cast<double>(t.aggregate_ns) * 1e-9);
   m.stage_prove->Observe(static_cast<double>(t.prove_ns) * 1e-9);
   m.stage_serialize->Observe(static_cast<double>(t.serialize_ns) * 1e-9);
-  m.proof_cache_hits_total->Inc(t.proof_cache_hits);
-  m.proof_cache_misses_total->Inc(t.proof_cache_misses);
 }
 
 }  // namespace
@@ -545,9 +535,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendField(&out, "proof_cache_shards", o.proof_cache_shards,
               defaults.proof_cache_shards, &first);
-  AppendBoolField(&out, "subscriptions_share_proofs",
-                  o.subscriptions_share_proofs,
-                  defaults.subscriptions_share_proofs, &first);
   AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,
                   defaults.sub_checkpoints, &first);
   AppendField(&out, "sub_checkpoint_interval_blocks",

@@ -116,9 +116,6 @@ struct ServiceOptions {
   /// LRU; more stripes cut contention between query threads).
   size_t proof_cache_shards = 16;
 
-  /// Subscription proof sharing across standing queries (§7.1).
-  bool subscriptions_share_proofs = true;
-
   /// Persist subscription state (registered queries + ids, drain cursor,
   /// pending lazy runs) as CRC-framed alternating slot files in `store_dir`,
   /// and resume from the latest valid slot on reopen — a restarted SP picks

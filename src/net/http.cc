@@ -1436,20 +1436,6 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(Options options,
 
 HttpServer::~HttpServer() { Stop(); }
 
-HttpServerStats HttpServer::stats() const {
-  // Read back from the registry counters — the same cells /metrics
-  // exposes — so the JSON stats endpoint and the Prometheus exposition
-  // cannot disagree.
-  HttpServerStats s;
-  s.accepted = n_accepted_->Value();
-  s.requests = n_requests_->Value();
-  s.shed_overload = n_shed_->Value();
-  s.rate_limited = n_rate_limited_->Value();
-  s.timed_out = n_timed_out_->Value();
-  s.active_connections = held_connections_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void HttpServer::LoopMain() { loop_->Run(); }
 
 void HttpServer::WorkerMain() {

@@ -98,20 +98,6 @@ const char* HttpReasonPhrase(int status);
 /// response-header parsing so the accepted grammar cannot drift.
 bool ParseDecimalU64(std::string_view s, uint64_t* out);
 
-/// Monotonic counters of the server's availability machinery (all events
-/// since the registry's counters were created). Snapshot via
-/// HttpServer::stats() — the values are read back from the same
-/// metrics::Registry counters `GET /metrics` exposes, so the two can never
-/// drift. Servers sharing one registry (the Default()) share counters.
-struct HttpServerStats {
-  uint64_t accepted = 0;       ///< connections admitted to the event loop
-  uint64_t requests = 0;       ///< requests dispatched to the handler
-  uint64_t shed_overload = 0;  ///< connections answered 503 at accept
-  uint64_t rate_limited = 0;   ///< requests answered 429
-  uint64_t timed_out = 0;      ///< connections dropped for slow progress (408)
-  uint64_t active_connections = 0;  ///< open connections right now
-};
-
 class IpRateLimiter;
 struct ResponderCore;
 
@@ -195,8 +181,11 @@ class HttpServer {
     size_t max_stream_buffer_bytes = 256u << 10;
 
     /// Registry the server's counters/histograms live in; null = the
-    /// process-wide metrics::Registry::Default(). Tests inject their own
-    /// for isolated assertions.
+    /// process-wide metrics::Registry::Default(). It is the only place the
+    /// server's numbers are read back from (vchain_http_*_total, the
+    /// vchain_http_active_connections gauge); tests and benches inject
+    /// their own for isolated assertions. Servers sharing one registry
+    /// share counters.
     metrics::Registry* registry = nullptr;
   };
 
@@ -230,7 +219,6 @@ class HttpServer {
   void Drain(int timeout_seconds = 10);
 
   uint16_t port() const { return port_; }
-  HttpServerStats stats() const;
 
   static constexpr size_t kMaxHeadBytes = 16u << 10;
   static constexpr size_t kMaxHeaderCount = 64;
@@ -260,9 +248,9 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
 
-  // Availability counters live in the metrics registry (one source of
-  // truth for stats() and /metrics); held_connections_ above stays the
-  // admission-control variable and is mirrored into active_connections_.
+  // Availability counters live in the metrics registry, the server's one
+  // stats source; held_connections_ above stays the admission-control
+  // variable and is mirrored into active_connections_.
   metrics::Counter* n_accepted_ = nullptr;
   metrics::Counter* n_requests_ = nullptr;
   metrics::Counter* n_shed_ = nullptr;

@@ -326,13 +326,6 @@ Result<std::vector<api::SubscriptionEvent>> SpClient::PollSubscription(
   return out;
 }
 
-Result<api::ServiceStats> SpClient::Stats() {
-  auto resp = Exchange("GET", "/stats", "", "text/plain");
-  if (!resp.ok()) return resp.status();
-  if (resp.value().status != 200) return StatusFromHttp(resp.value());
-  return StatsFromJson(resp.value().body);
-}
-
 Status SpClient::Healthz() {
   // A 503 here *is* the health answer (degraded SP) — don't spin on it.
   auto resp = Exchange("GET", "/healthz", "", "text/plain",

@@ -155,9 +155,6 @@ class SpClient {
   /// verified notifications.
   Result<SubscriptionHandle> Subscribe(const core::Query& q);
 
-  /// GET /stats, parsed.
-  Result<api::ServiceStats> Stats();
-
   /// GET /healthz; OK iff the SP answers 200 with a matching engine kind.
   Status Healthz();
 

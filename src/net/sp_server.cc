@@ -46,15 +46,6 @@ std::string SseRecord(const api::SubscriptionEvent& ev) {
   return out;
 }
 
-/// Per-route request counters, one labeled child per endpoint. Registered
-/// once per process against the default registry (route names are fixed, so
-/// a single static table is enough even with several servers).
-metrics::Counter* RouteCounter(const char* route) {
-  return metrics::Registry::Default().GetCounter(
-      "vchain_http_route_requests_total", "Requests dispatched, by endpoint",
-      {{"route", route}});
-}
-
 bool TraceRequested(const HttpRequest& req) {
   auto it = req.headers.find("x-vchain-trace");
   return it != req.headers.end() && it->second == "1";
@@ -210,37 +201,68 @@ Result<std::unique_ptr<SpServer>> SpServer::Start(api::Service* service,
   std::unique_ptr<SpServer> server(new SpServer());
   server->service_ = service;
   server->options_ = options;
-  // Export the service's observable state as gauges, refreshed at scrape
-  // time. The collector holds a raw Service pointer, so it is removed in
-  // Stop/Drain/~SpServer — all of which precede the service's death per the
-  // Start() contract (service must outlive the server).
+  // /metrics is the server's one stats exposition: the route counters and
+  // the service's observable state, as gauges refreshed at scrape time, go
+  // into the registry it writes. The collector holds a raw Service pointer,
+  // so it is removed in Stop/Drain/~SpServer — all of which precede the
+  // service's death per the Start() contract (service must outlive the
+  // server).
   server->registry_ = options.http.registry != nullptr
                           ? options.http.registry
                           : &metrics::Registry::Default();
   {
     metrics::Registry& r = *server->registry_;
+    auto route = [&r](const char* name) {
+      return r.GetCounter("vchain_http_route_requests_total",
+                          "Requests dispatched, by endpoint",
+                          {{"route", name}});
+    };
+    server->routes_ = {.healthz = route("/healthz"),
+                       .scrape = route("/metrics"),
+                       .headers = route("/headers"),
+                       .query = route("/query"),
+                       .query_batch = route("/query_batch"),
+                       .subscribe = route("/subscribe"),
+                       .unsubscribe = route("/unsubscribe"),
+                       .events = route("/events"),
+                       // Disabled debug routes leave no trace, not even
+                       // a zero counter.
+                       .debug = options.debug_endpoints ? route("/debug")
+                                                        : nullptr};
     metrics::Gauge* blocks =
         r.GetGauge("vchain_service_blocks", "Chain height (sealed blocks)");
     metrics::Gauge* degraded = r.GetGauge(
         "vchain_service_degraded",
         "1 once a storage fault forced read-only mode, else 0");
+    metrics::Gauge* durable = r.GetGauge(
+        "vchain_service_durable", "1 when blocks persist to a store, else 0");
     metrics::Gauge* subs = r.GetGauge("vchain_service_subscriptions_active",
                                       "Standing queries registered");
     metrics::Gauge* sub_pending =
         r.GetGauge("vchain_service_subscription_events_pending",
                    "Subscription events held in the bounded redelivery log");
+    metrics::Gauge* sub_ckpt_seq =
+        r.GetGauge("vchain_service_sub_checkpoint_seq",
+                   "Sequence number of the latest durable subscription "
+                   "checkpoint (0 = none)");
     metrics::Gauge* pc_hits =
         r.GetGauge("vchain_service_proof_cache_lru_hits",
                    "Lifetime hits of the shared disjointness-proof cache");
     metrics::Gauge* pc_misses =
         r.GetGauge("vchain_service_proof_cache_lru_misses",
                    "Lifetime misses of the shared disjointness-proof cache");
+    metrics::Gauge* pc_evictions =
+        r.GetGauge("vchain_service_proof_cache_lru_evictions",
+                   "Lifetime evictions of the shared disjointness-proof cache");
     metrics::Gauge* bc_hits =
         r.GetGauge("vchain_service_block_cache_hits",
                    "Lifetime hits of the decoded-block cache");
     metrics::Gauge* bc_misses =
         r.GetGauge("vchain_service_block_cache_misses",
                    "Lifetime misses of the decoded-block cache");
+    metrics::Gauge* bc_evictions =
+        r.GetGauge("vchain_service_block_cache_evictions",
+                   "Lifetime evictions of the decoded-block cache");
     metrics::Gauge* trace_ring =
         r.GetGauge("vchain_service_trace_ring_occupancy",
                    "Span trees retained for GET /debug/traces");
@@ -252,12 +274,16 @@ Result<std::unique_ptr<SpServer>> SpServer::Start(api::Service* service,
       api::ServiceStats s = svc->Stats();
       blocks->Set(static_cast<double>(s.num_blocks));
       degraded->Set(s.degraded ? 1 : 0);
+      durable->Set(s.durable ? 1 : 0);
       subs->Set(static_cast<double>(s.subscriptions_active));
       sub_pending->Set(static_cast<double>(s.subscription_events_pending));
+      sub_ckpt_seq->Set(static_cast<double>(s.sub_checkpoint_seq));
       pc_hits->Set(static_cast<double>(s.proof_cache.hits));
       pc_misses->Set(static_cast<double>(s.proof_cache.misses));
+      pc_evictions->Set(static_cast<double>(s.proof_cache.evictions));
       bc_hits->Set(static_cast<double>(s.block_cache.hits));
       bc_misses->Set(static_cast<double>(s.block_cache.misses));
+      bc_evictions->Set(static_cast<double>(s.block_cache.evictions));
       trace_ring->Set(static_cast<double>(s.trace_ring_occupancy));
       flight_seq->Set(static_cast<double>(s.flight_recorder_seq));
     });
@@ -324,8 +350,7 @@ void SpServer::Handle(const HttpRequest& req, Responder responder) {
 }
 
 void SpServer::HandleEvents(const HttpRequest& req, Responder responder) {
-  static metrics::Counter* n = RouteCounter("/events");
-  n->Inc();
+  routes_.events->Inc();
   if (req.method != "GET") {
     responder.Send(TextResponse(405, "use GET\n"));
     return;
@@ -392,8 +417,7 @@ void SpServer::HandleEvents(const HttpRequest& req, Responder responder) {
 
 HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
   if (req.path == "/healthz") {
-    static metrics::Counter* n = RouteCounter("/healthz");
-    n->Inc();
+    routes_.healthz->Inc();
     if (req.method != "GET") return TextResponse(405, "use GET\n");
     Status health = service_->Health();
     HttpResponse resp =
@@ -405,19 +429,8 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
     return resp;
   }
 
-  if (req.path == "/stats") {
-    static metrics::Counter* n = RouteCounter("/stats");
-    n->Inc();
-    if (req.method != "GET") return TextResponse(405, "use GET\n");
-    HttpResponse resp;
-    resp.content_type = "application/json";
-    resp.body = StatsToJson(service_->Stats());
-    return resp;
-  }
-
   if (req.path == "/metrics") {
-    static metrics::Counter* n = RouteCounter("/metrics");
-    n->Inc();
+    routes_.scrape->Inc();
     if (req.method != "GET") return TextResponse(405, "use GET\n");
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4";
@@ -426,8 +439,7 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
   }
 
   if (req.path == "/headers") {
-    static metrics::Counter* n = RouteCounter("/headers");
-    n->Inc();
+    routes_.headers->Inc();
     if (req.method != "GET") return TextResponse(405, "use GET\n");
     uint64_t tip = service_->NumBlocks();
     uint64_t from = 0;
@@ -456,15 +468,13 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
   }
 
   if (req.path == "/query") {
-    static metrics::Counter* n = RouteCounter("/query");
-    n->Inc();
+    routes_.query->Inc();
     if (req.method != "POST") return TextResponse(405, "use POST\n");
     return HandleQuery(req);
   }
 
   if (req.path == "/query_batch") {
-    static metrics::Counter* n = RouteCounter("/query_batch");
-    n->Inc();
+    routes_.query_batch->Inc();
     if (req.method != "POST") return TextResponse(405, "use POST\n");
     auto queries = BatchRequestFromJson(req.body);
     if (!queries.ok()) return ErrorResponse(queries.status());
@@ -487,8 +497,7 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
   }
 
   if (req.path == "/subscribe") {
-    static metrics::Counter* n = RouteCounter("/subscribe");
-    n->Inc();
+    routes_.subscribe->Inc();
     if (req.method != "POST") return TextResponse(405, "use POST\n");
     auto query = SubscribeRequestFromJson(req.body);
     if (!query.ok()) return ErrorResponse(query.status());
@@ -505,8 +514,7 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
   }
 
   if (req.path == "/unsubscribe") {
-    static metrics::Counter* n = RouteCounter("/unsubscribe");
-    n->Inc();
+    routes_.unsubscribe->Inc();
     if (req.method != "POST") return TextResponse(405, "use POST\n");
     auto id = UnsubscribeRequestFromJson(req.body);
     if (!id.ok()) return ErrorResponse(id.status());
@@ -525,8 +533,7 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
     if (!options_.debug_endpoints) {
       return TextResponse(404, "unknown endpoint\n");
     }
-    static metrics::Counter* n = RouteCounter("/debug");
-    n->Inc();
+    routes_.debug->Inc();
     if (req.method != "GET") return TextResponse(405, "use GET\n");
     HttpResponse resp;
     resp.content_type = "application/json";

@@ -9,12 +9,14 @@
 //   GET  /headers?from=&to=                     ->  binary header page
 //                      (X-Vchain-Tip = chain height; pages are capped, the
 //                      client loops until its light client reaches the tip)
-//   GET  /stats        service stats as JSON
 //   GET  /metrics      Prometheus text exposition (version 0.0.4) of the
-//                      process-wide metrics registry: store, service, and
+//                      metrics registry (HttpServer::Options::registry, the
+//                      process-wide one by default): store, service, and
 //                      HTTP tiers plus the service-state gauges this server
-//                      exports while running (block height, degraded flag,
-//                      cache hit/miss counts)
+//                      exports while running (block height, degraded and
+//                      durable flags, checkpoint seq, cache hit/miss/evict
+//                      counts). The server's only stats surface; the
+//                      engine rides /healthz's X-Vchain-Engine header
 //   GET  /healthz      "ok\n" + X-Vchain-Engine (liveness probe); 503
 //                      "degraded: ..." once the service is read-only after
 //                      a storage fault — a load balancer drains writes but
@@ -107,7 +109,6 @@ class SpServer {
   Status Drain(int timeout_seconds = 10);
 
   uint16_t port() const { return http_->port(); }
-  HttpServerStats http_stats() const { return http_->stats(); }
 
  private:
   /// Parks long-poll and SSE /events waiters off-thread and completes them
@@ -130,6 +131,19 @@ class SpServer {
   std::unique_ptr<HttpServer> http_;
   std::unique_ptr<EventHub> hub_;
   metrics::Registry* registry_ = nullptr;
+  /// vchain_http_route_requests_total children, looked up once in Start in
+  /// the registry /metrics writes.
+  struct RouteCounters {
+    metrics::Counter* healthz = nullptr;
+    metrics::Counter* scrape = nullptr;  ///< /metrics
+    metrics::Counter* headers = nullptr;
+    metrics::Counter* query = nullptr;
+    metrics::Counter* query_batch = nullptr;
+    metrics::Counter* subscribe = nullptr;
+    metrics::Counter* unsubscribe = nullptr;
+    metrics::Counter* events = nullptr;
+    metrics::Counter* debug = nullptr;
+  } routes_;
   size_t collector_id_ = 0;
   bool collector_registered_ = false;
 };

@@ -436,98 +436,6 @@ Result<Bytes> Base64Decode(std::string_view text) {
   return out;
 }
 
-std::string StatsToJson(const api::ServiceStats& stats) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("engine", JsonValue::Str(api::EngineKindName(stats.engine)));
-  obj.Set("durable", JsonValue::Bool(stats.durable));
-  obj.Set("degraded", JsonValue::Bool(stats.degraded));
-  obj.Set("num_blocks", JsonValue::Number(stats.num_blocks));
-  obj.Set("queries_served", JsonValue::Number(stats.queries_served));
-  obj.Set("subscriptions_active", JsonValue::Number(stats.subscriptions_active));
-  obj.Set("subscription_events_pending",
-          JsonValue::Number(stats.subscription_events_pending));
-  obj.Set("sub_checkpoint_seq", JsonValue::Number(stats.sub_checkpoint_seq));
-  auto lru = [](const LruStats& s) {
-    JsonValue v = JsonValue::Object();
-    v.Set("hits", JsonValue::Number(s.hits));
-    v.Set("misses", JsonValue::Number(s.misses));
-    v.Set("evictions", JsonValue::Number(s.evictions));
-    return v;
-  };
-  obj.Set("proof_cache", lru(stats.proof_cache));
-  obj.Set("block_cache", lru(stats.block_cache));
-  obj.Set("canary_verified", JsonValue::Number(stats.canary_verified));
-  obj.Set("canary_failed", JsonValue::Number(stats.canary_failed));
-  obj.Set("canary_skipped", JsonValue::Number(stats.canary_skipped));
-  obj.Set("trace_ring_occupancy",
-          JsonValue::Number(stats.trace_ring_occupancy));
-  obj.Set("flight_recorder_seq",
-          JsonValue::Number(stats.flight_recorder_seq));
-  return obj.Dump();
-}
-
-Result<api::ServiceStats> StatsFromJson(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& obj = parsed.value();
-  if (!obj.is_object()) {
-    return Status::InvalidArgument("wire: stats must be a JSON object");
-  }
-  api::ServiceStats stats;
-  auto engine = Member(obj, "engine", JsonValue::Kind::kString);
-  if (!engine.ok()) return engine.status();
-  if (!api::EngineKindFromName(engine.value()->as_string(), &stats.engine)) {
-    return Status::InvalidArgument("wire: unknown engine name");
-  }
-  auto u64 = [&obj](const std::string& key, uint64_t* out) -> Status {
-    auto v = Member(obj, key, JsonValue::Kind::kNumber);
-    if (!v.ok()) return v.status();
-    *out = v.value()->as_number();
-    return Status::OK();
-  };
-  auto durable = Member(obj, "durable", JsonValue::Kind::kBool);
-  if (!durable.ok()) return durable.status();
-  stats.durable = durable.value()->as_bool();
-  // Optional for wire compatibility with pre-degraded-mode servers.
-  auto degraded = Member(obj, "degraded", JsonValue::Kind::kBool);
-  if (degraded.ok()) stats.degraded = degraded.value()->as_bool();
-  VCHAIN_RETURN_IF_ERROR(u64("num_blocks", &stats.num_blocks));
-  VCHAIN_RETURN_IF_ERROR(u64("queries_served", &stats.queries_served));
-  VCHAIN_RETURN_IF_ERROR(
-      u64("subscriptions_active", &stats.subscriptions_active));
-  VCHAIN_RETURN_IF_ERROR(u64("subscription_events_pending",
-                             &stats.subscription_events_pending));
-  auto ckpt_seq = Member(obj, "sub_checkpoint_seq", JsonValue::Kind::kNumber);
-  if (ckpt_seq.ok()) stats.sub_checkpoint_seq = ckpt_seq.value()->as_number();
-  auto lru = [&obj](const std::string& key, LruStats* out) -> Status {
-    auto v = Member(obj, key, JsonValue::Kind::kObject);
-    if (!v.ok()) return v.status();
-    auto field = [&v](const std::string& k, uint64_t* dst) -> Status {
-      auto f = Member(*v.value(), k, JsonValue::Kind::kNumber);
-      if (!f.ok()) return f.status();
-      *dst = f.value()->as_number();
-      return Status::OK();
-    };
-    VCHAIN_RETURN_IF_ERROR(field("hits", &out->hits));
-    VCHAIN_RETURN_IF_ERROR(field("misses", &out->misses));
-    VCHAIN_RETURN_IF_ERROR(field("evictions", &out->evictions));
-    return Status::OK();
-  };
-  VCHAIN_RETURN_IF_ERROR(lru("proof_cache", &stats.proof_cache));
-  VCHAIN_RETURN_IF_ERROR(lru("block_cache", &stats.block_cache));
-  // Optional for wire compatibility with pre-introspection-plane servers.
-  auto opt_u64 = [&obj](const std::string& key, uint64_t* out) {
-    auto v = Member(obj, key, JsonValue::Kind::kNumber);
-    if (v.ok()) *out = v.value()->as_number();
-  };
-  opt_u64("canary_verified", &stats.canary_verified);
-  opt_u64("canary_failed", &stats.canary_failed);
-  opt_u64("canary_skipped", &stats.canary_skipped);
-  opt_u64("trace_ring_occupancy", &stats.trace_ring_occupancy);
-  opt_u64("flight_recorder_seq", &stats.flight_recorder_seq);
-  return stats;
-}
-
 uint8_t StatusCodeToWire(Status::Code code) {
   return static_cast<uint8_t>(code);
 }

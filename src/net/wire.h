@@ -114,11 +114,6 @@ Result<api::SubscriptionEventBatch> DecodeEventFrame(ByteSpan frame);
 std::string Base64Encode(ByteSpan bytes);
 Result<Bytes> Base64Decode(std::string_view text);
 
-// --- stats (JSON) --------------------------------------------------------------
-
-std::string StatsToJson(const api::ServiceStats& stats);
-Result<api::ServiceStats> StatsFromJson(std::string_view json);
-
 // --- status taxonomy over the wire ---------------------------------------------
 
 uint8_t StatusCodeToWire(Status::Code code);

@@ -242,10 +242,13 @@ class SubscriptionManager {
   }
 
   /// Lazy processing (acc2 only): returns batches for queries flushed by
-  /// this block (matches); silent queries keep accumulating.
+  /// this block (matches); silent queries keep accumulating. A manager not
+  /// built with Options::lazy returns nothing: only lazy registration
+  /// checks that the chain has the index roots lazy units hash through.
   std::vector<LazyBatch<Engine>> ProcessBlockLazy(const Block<Engine>& block) {
     static_assert(Engine::kSupportsAggregation,
                   "lazy authentication requires an aggregating engine");
+    if (!options_.lazy) return {};
     metrics::ScopedTimer timer(SubMetrics::Get().match_seconds);
     return ProcessBlockLazyIndexed(block);
   }

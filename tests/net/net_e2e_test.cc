@@ -189,12 +189,16 @@ using AllEngines = ::testing::Types<accum::MockAcc1Engine, accum::MockAcc2Engine
                                     accum::Acc1Engine, accum::Acc2Engine>;
 TYPED_TEST_SUITE(NetE2eTest, AllEngines);
 
-TYPED_TEST(NetE2eTest, HealthzAndStats) {
+// Healthz() fails unless X-Vchain-Engine names the client's engine; the
+// chain height is read from the /metrics scrape.
+TYPED_TEST(NetE2eTest, HealthzAndMetrics) {
   EXPECT_TRUE(this->client_->Healthz().ok());
-  auto stats = this->client_->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().engine, KindOf<TypeParam>::value);
-  EXPECT_EQ(stats.value().num_blocks, 8u);
+  HttpConnection conn({.host = "127.0.0.1", .port = this->server_->port()});
+  auto resp = conn.RoundTrip("GET", "/metrics", "", "text/plain");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp.value().status, 200);
+  EXPECT_NE(resp.value().body.find("\nvchain_service_blocks 8\n"),
+            std::string::npos);
 }
 
 TYPED_TEST(NetE2eTest, HeaderSyncValidatesTheWholeChain) {
@@ -498,6 +502,37 @@ TEST(NetE2eRawTest, MetricsEndpointCoversAllTiers) {
   svc.reset();
   std::string after = metrics::Registry::Default().WriteText();
   EXPECT_FALSE(after.empty());  // no use-after-free, exposition still sane
+}
+
+// A server given its own registry serves its route counters and service
+// gauges from it — the registry is the server's one stats source.
+TEST(NetE2eRawTest, InjectedRegistryServesRouteCountersAndServiceGauges) {
+  auto svc = MakeServedService(EngineKind::kMockAcc2);
+  metrics::Registry registry;
+  SpServer::Options sopts;
+  sopts.http.num_threads = 1;
+  sopts.http.registry = &registry;
+  auto server = SpServer::Start(svc.get(), sopts).TakeValue();
+  HttpConnection conn({.host = "127.0.0.1", .port = server->port()});
+  auto health = conn.RoundTrip("GET", "/healthz", "", "text/plain");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status, 200);
+  auto resp = conn.RoundTrip("GET", "/metrics", "", "text/plain");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp.value().status, 200);
+  const std::string& text = resp.value().body;
+  for (const char* line :
+       {"vchain_http_route_requests_total{route=\"/healthz\"} 1",
+        "vchain_service_blocks 8", "vchain_service_degraded 0",
+        "vchain_service_durable 0", "vchain_service_sub_checkpoint_seq 0",
+        "vchain_service_proof_cache_lru_evictions 0",
+        "vchain_service_block_cache_evictions 0"}) {
+    EXPECT_NE(text.find("\n" + std::string(line) + "\n"), std::string::npos)
+        << line;
+  }
+  // Debug routes are off: not even a zero counter names them.
+  EXPECT_EQ(text.find("route=\"/debug\""), std::string::npos);
+  server->Stop();
 }
 
 // The /query endpoint speaks strict JSON: hostile bodies get a 400, not a

@@ -8,7 +8,7 @@
 //     idle keep-alive peers are shut;
 //   * degraded mode end-to-end: a storage write fault flips the Service to
 //     read-only — queries keep serving bit-identical answers, appends come
-//     back Unavailable, /healthz answers 503;
+//     back Unavailable, /healthz answers 503 and /metrics reports it;
 //   * client resilience: SpClient retries 429/503 and transport failures
 //     with jittered exponential backoff, and surfaces errno text when the
 //     SP is unreachable.
@@ -48,6 +48,12 @@ constexpr uint64_t kTimeStep = 10;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/// A server counter read back from the registry it was given — the one
+/// place a server's numbers live.
+uint64_t CounterValue(metrics::Registry& registry, const char* name) {
+  return registry.GetCounter(name, "")->Value();
 }
 
 std::string UniqueDir() {
@@ -125,7 +131,9 @@ std::vector<Object> MakeBlock(uint64_t height) {
 // --- transport-level availability (plain HttpServer) -------------------------
 
 TEST(OverloadTest, FloodIsShedWith503AndBoundedState) {
+  metrics::Registry registry;  // exact counts: no other server shares it
   HttpServer::Options opts;
+  opts.registry = &registry;
   opts.num_threads = 1;
   opts.max_connections = 2;
   opts.recv_timeout_seconds = 1;  // close served keep-alive conns quickly
@@ -157,13 +165,14 @@ TEST(OverloadTest, FloodIsShedWith503AndBoundedState) {
   // The occupied connections are served to completion regardless.
   EXPECT_NE(busy.ReadAll().find("slow"), std::string::npos);
   EXPECT_NE(queued.ReadAll().find("slow"), std::string::npos);
-  HttpServerStats stats = server.value()->stats();
-  EXPECT_GE(stats.shed_overload, 1u);
-  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_GE(CounterValue(registry, "vchain_http_shed_total"), 1u);
+  EXPECT_EQ(CounterValue(registry, "vchain_http_requests_total"), 2u);
 }
 
 TEST(OverloadTest, PerIpRateLimitAnswers429ThenRecovers) {
+  metrics::Registry registry;
   HttpServer::Options opts;
+  opts.registry = &registry;
   opts.num_threads = 2;
   opts.rate_limit_rps = 2;
   opts.rate_limit_burst = 2;
@@ -196,7 +205,7 @@ TEST(OverloadTest, PerIpRateLimitAnswers429ThenRecovers) {
   auto resp = conn.RoundTrip("GET", "/", "", "text/plain");
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp.value().status, 200);
-  EXPECT_GE(server.value()->stats().rate_limited, 3u);
+  EXPECT_GE(CounterValue(registry, "vchain_http_rate_limited_total"), 3u);
 }
 
 TEST(OverloadTest, DrainFinishesInFlightThenStopsAccepting) {
@@ -270,10 +279,12 @@ TEST(OverloadTest, StorageFaultDegradesToReadOnlyServiceAndHealthz503) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().response_bytes, before.value().response_bytes);
 
-  // Over the wire: /healthz answers 503 "degraded", /stats carries the flag,
-  // and queries keep working.
+  // Over the wire: /healthz answers 503 "degraded", /metrics carries the
+  // flag, and queries keep working.
+  metrics::Registry registry;
   SpServer::Options server_opts;
   server_opts.http.num_threads = 2;
+  server_opts.http.registry = &registry;
   auto server = SpServer::Start(svc.value().get(), server_opts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   HttpConnection conn({.host = "127.0.0.1", .port = server.value()->port()});
@@ -281,6 +292,13 @@ TEST(OverloadTest, StorageFaultDegradesToReadOnlyServiceAndHealthz503) {
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health.value().status, 503);
   EXPECT_NE(health.value().body.find("degraded"), std::string::npos);
+  auto scrape = conn.RoundTrip("GET", "/metrics", "", "text/plain");
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  ASSERT_EQ(scrape.value().status, 200);
+  EXPECT_NE(scrape.value().body.find("\nvchain_service_degraded 1\n"),
+            std::string::npos);
+  EXPECT_NE(scrape.value().body.find("\nvchain_service_durable 1\n"),
+            std::string::npos);
 
   SpClient::Options copts;
   copts.port = server.value()->port();
@@ -289,9 +307,6 @@ TEST(OverloadTest, StorageFaultDegradesToReadOnlyServiceAndHealthz503) {
   auto client = SpClient::Connect(copts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_TRUE(client.value()->Healthz().IsUnavailable());
-  auto stats = client.value()->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_TRUE(stats.value().degraded);
   auto wire = client.value()->Query(q);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   EXPECT_EQ(wire.value().response_bytes, before.value().response_bytes);
@@ -320,8 +335,10 @@ TEST(OverloadTest, ClientRetriesThrough429AndSucceeds) {
     ASSERT_TRUE(
         svc.value()->Append(MakeBlock(h), kBaseTime + h * kTimeStep).ok());
   }
+  metrics::Registry registry;
   SpServer::Options server_opts;
   server_opts.http.num_threads = 2;
+  server_opts.http.registry = &registry;
   server_opts.http.rate_limit_rps = 1;
   server_opts.http.rate_limit_burst = 1;
   auto server = SpServer::Start(svc.value().get(), server_opts);
@@ -335,14 +352,16 @@ TEST(OverloadTest, ClientRetriesThrough429AndSucceeds) {
   auto client = SpClient::Connect(copts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  // Burst of 1: the back-to-back second call gets 429 and must retry its
-  // way (Retry-After: 1) to a 200.
-  auto first = client.value()->Stats();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = client.value()->Stats();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second.value().num_blocks, 2u);
-  EXPECT_GE(server.value()->http_stats().rate_limited, 1u);
+  // Burst of 1: the back-to-back second header sync (one idempotent GET
+  // /headers each) gets 429 and must retry its way (Retry-After: 1) to a 200.
+  chain::LightClient first = client.value()->NewLightClient();
+  Status st = client.value()->SyncHeaders(&first);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  chain::LightClient second = client.value()->NewLightClient();
+  st = client.value()->SyncHeaders(&second);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(second.Height(), 2u);
+  EXPECT_GE(CounterValue(registry, "vchain_http_rate_limited_total"), 1u);
 }
 
 TEST(OverloadTest, UnreachableSpExhaustsRetriesWithErrnoText) {

@@ -280,27 +280,7 @@ TEST(WireHeaderPageTest, HostileCountAndTrailingBytesRejected) {
   }
 }
 
-// --- stats + status taxonomy --------------------------------------------------
-
-TEST(WireStatsTest, RoundTripIsExact) {
-  api::ServiceStats stats;
-  stats.engine = api::EngineKind::kAcc1;
-  stats.durable = true;
-  stats.num_blocks = 42;
-  stats.queries_served = 7;
-  stats.subscriptions_active = 3;
-  stats.subscription_events_pending = 9;
-  stats.proof_cache = {100, 20, 5};
-  stats.block_cache = {1, 2, 3};
-  auto back = StatsFromJson(StatsToJson(stats));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().engine, stats.engine);
-  EXPECT_EQ(back.value().durable, stats.durable);
-  EXPECT_EQ(back.value().num_blocks, stats.num_blocks);
-  EXPECT_EQ(back.value().queries_served, stats.queries_served);
-  EXPECT_EQ(back.value().proof_cache.hits, 100u);
-  EXPECT_EQ(back.value().block_cache.evictions, 3u);
-}
+// --- status taxonomy ----------------------------------------------------------
 
 TEST(WireStatusTest, CodesRoundTripAndRejectUnknown) {
   for (Status::Code code :

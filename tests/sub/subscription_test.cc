@@ -341,6 +341,20 @@ TEST(LazySubscriptionTest, FlatChainRejected) {
   EXPECT_TRUE(indexed.TrySubscribe(q).ok());
 }
 
+TEST(LazySubscriptionTest, NonLazyManagerOverFlatChainProcessesNothing) {
+  // Only lazy registration refuses a kNil chain, so a default (non-lazy)
+  // manager there holds subscriptions; ProcessBlockLazy on it must return
+  // nothing instead of hashing through the flat block's absent index root.
+  SubEnv<accum::MockAcc2Engine> env;
+  env.config.mode = core::IndexMode::kNil;
+  env.builder = std::make_unique<ChainBuilder<accum::MockAcc2Engine>>(
+      env.engine, env.config);
+  SubscriptionManager<accum::MockAcc2Engine> mgr(env.engine, env.config, {});
+  ASSERT_TRUE(mgr.TrySubscribe(env.MatchZoneQuery()).ok());
+  env.Mine(1, /*allow_matches=*/false, /*seed=*/9);
+  EXPECT_TRUE(mgr.ProcessBlockLazy(env.builder->blocks().back()).empty());
+}
+
 TEST(SharedProofTest, IpTreeModeSharesProofsAcrossQueries) {
   SubEnv<accum::MockAcc2Engine> env;
   typename SubscriptionManager<accum::MockAcc2Engine>::Options ip_opts;

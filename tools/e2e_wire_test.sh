@@ -133,8 +133,15 @@ for engine in mock-acc1 mock-acc2 acc1 acc2; do
   start_spd "$engine" "$store" "$WORK_DIR/spd-$engine.log"
   scrape_metrics "$PORT" "$WORK_DIR/metrics-$engine-1.txt"
   "$CLIENT" --engine "$engine" --port "$PORT" --demo-query \
-            --expect-hash "$HASH" --stats --timing
+            --expect-hash "$HASH" --timing
   scrape_metrics "$PORT" "$WORK_DIR/metrics-$engine-2.txt"
+  # The service-state gauges /metrics carries (the server's one stats
+  # surface): the demo chain's height, and not degraded.
+  grep -qx "vchain_service_blocks $DEMO_BLOCKS" \
+          "$WORK_DIR/metrics-$engine-2.txt" || {
+    echo "vchain_service_blocks != $DEMO_BLOCKS in /metrics"; exit 1; }
+  grep -qx "vchain_service_degraded 0" "$WORK_DIR/metrics-$engine-2.txt" || {
+    echo "vchain_service_degraded != 0 in /metrics"; exit 1; }
   echo "=== $engine: debug plane + canary mid-run ==="
   check_debug_plane "$PORT" "$WORK_DIR/debug-$engine"
   check_canary "$PORT"
