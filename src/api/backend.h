@@ -33,8 +33,8 @@ class IServiceBackend {
   virtual Status Sync() = 0;
   virtual Status Health() const = 0;
 
-  /// `trace` (optional) receives the per-stage breakdown, serialize_ns
-  /// included; tracing never changes the response bytes.
+  /// `trace` (optional) receives the span tree, serialize span included;
+  /// tracing never changes the response bytes.
   virtual Result<QueryResult> Query(const core::Query& q,
                                     core::QueryTrace* trace) = 0;
 

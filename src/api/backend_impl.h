@@ -432,19 +432,15 @@ class ServiceBackend final : public IServiceBackend {
     if (!resp.ok()) return resp.status();
     queries_served_.fetch_add(1, std::memory_order_relaxed);
     QueryResult out;
-    {
-      trace::ScopedSpan serialize_span(
-          trace != nullptr ? trace->EnsureSpans() : nullptr, "serialize");
-      ByteWriter w;
-      core::SerializeResponse(engine_, resp.value(), &w);
-      out.response_bytes = std::move(w.bytes());
-      out.vo_bytes = core::VoByteSize(engine_, resp.value().vo);
-      out.objects = std::move(resp.value().objects);
-    }
-    // Re-project so direct backend callers see serialize_ns without going
-    // through the service shell (which projects again after ending the
-    // root — projection is idempotent).
-    if (trace != nullptr) trace->ProjectSpans();
+    // The serialize stage, last in core::kQueryStages.
+    trace::ScopedSpan serialize_span(
+        trace != nullptr ? trace->EnsureSpans() : nullptr,
+        core::kQueryStages.back());
+    ByteWriter w;
+    core::SerializeResponse(engine_, resp.value(), &w);
+    out.response_bytes = std::move(w.bytes());
+    out.vo_bytes = core::VoByteSize(engine_, resp.value().vo);
+    out.objects = std::move(resp.value().objects);
     return out;
   }
 
@@ -481,10 +477,6 @@ class ServiceBackend final : public IServiceBackend {
   void EnterDegradedLocked(const Status& cause) {
     degraded_ = true;
     degraded_reason_ = cause.ToString();
-    metrics::Registry::Default()
-        .GetGauge("vchain_service_degraded",
-                  "1 while the service is read-only after a storage fault")
-        ->Set(1);
     flight::FlightRecorder::Get().Record("service", "degraded",
                                          builder_->NumBlocks());
     logging::Error("service_degraded").Kv("reason", degraded_reason_);

@@ -9,6 +9,7 @@
 
 #include "api/service.h"
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
@@ -26,42 +27,28 @@ namespace vchain::api {
 
 namespace {
 
-/// One registration, process-wide: total query latency, the per-stage
-/// share histograms the paper's cost breakdown reads from, and the
-/// served/error counters. Pointers are stable, so grab them once.
+/// One registration, process-wide: total query latency, one per-stage
+/// histogram per core::kQueryStages entry (the paper's cost breakdown), and
+/// the served/error counters. Pointers are stable, so grab them once.
 struct QueryMetrics {
   metrics::Histogram* query_seconds;
-  metrics::Histogram* stage_setup;
-  metrics::Histogram* stage_window_lookup;
-  metrics::Histogram* stage_match_walk;
-  metrics::Histogram* stage_aggregate;
-  metrics::Histogram* stage_prove;
-  metrics::Histogram* stage_serialize;
+  std::array<metrics::Histogram*, core::kNumQueryStages> stage_seconds;
   metrics::Counter* queries_total;
   metrics::Counter* query_errors_total;
 
   static const QueryMetrics& Get() {
     static const QueryMetrics m = [] {
       metrics::Registry& r = metrics::Registry::Default();
-      const char* stage_name = "vchain_service_query_stage_seconds";
-      const char* stage_help =
-          "Per-stage server-side query latency (see core/query_trace.h)";
       QueryMetrics out;
       out.query_seconds = r.GetLatencyHistogram(
           "vchain_service_query_seconds",
           "End-to-end server-side query latency, serialization included");
-      out.stage_setup =
-          r.GetLatencyHistogram(stage_name, stage_help, {{"stage", "setup"}});
-      out.stage_window_lookup = r.GetLatencyHistogram(
-          stage_name, stage_help, {{"stage", "window_lookup"}});
-      out.stage_match_walk = r.GetLatencyHistogram(
-          stage_name, stage_help, {{"stage", "match_walk"}});
-      out.stage_aggregate = r.GetLatencyHistogram(stage_name, stage_help,
-                                                  {{"stage", "aggregate"}});
-      out.stage_prove =
-          r.GetLatencyHistogram(stage_name, stage_help, {{"stage", "prove"}});
-      out.stage_serialize = r.GetLatencyHistogram(stage_name, stage_help,
-                                                  {{"stage", "serialize"}});
+      for (size_t i = 0; i < core::kNumQueryStages; ++i) {
+        out.stage_seconds[i] = r.GetLatencyHistogram(
+            "vchain_service_query_stage_seconds",
+            "Per-stage server-side query latency (see core/query_trace.h)",
+            {{"stage", core::kQueryStages[i]}});
+      }
       out.queries_total = r.GetCounter("vchain_service_queries_total",
                                        "Queries answered successfully");
       out.query_errors_total = r.GetCounter(
@@ -111,14 +98,11 @@ void ObserveQueryTrace(const core::QueryTrace& t, bool ok) {
     return;
   }
   m.queries_total->Inc();
-  m.query_seconds->Observe(static_cast<double>(t.total_ns) * 1e-9);
-  m.stage_setup->Observe(static_cast<double>(t.setup_ns) * 1e-9);
-  m.stage_window_lookup->Observe(static_cast<double>(t.window_lookup_ns) *
-                                 1e-9);
-  m.stage_match_walk->Observe(static_cast<double>(t.match_walk_ns) * 1e-9);
-  m.stage_aggregate->Observe(static_cast<double>(t.aggregate_ns) * 1e-9);
-  m.stage_prove->Observe(static_cast<double>(t.prove_ns) * 1e-9);
-  m.stage_serialize->Observe(static_cast<double>(t.serialize_ns) * 1e-9);
+  const core::StageTimes st = t.Stages();
+  m.query_seconds->Observe(static_cast<double>(st.total_ns) * 1e-9);
+  for (size_t i = 0; i < core::kNumQueryStages; ++i) {
+    m.stage_seconds[i]->Observe(static_cast<double>(st.stage_ns[i]) * 1e-9);
+  }
 }
 
 }  // namespace
@@ -239,8 +223,8 @@ Result<QueryResult> Service::QueryInternal(const core::Query& q,
   if (caller_trace == nullptr && !backend_->options().tracing) {
     // True zero-overhead baseline: the processor never sees a trace. Only
     // total latency and the served/error counters are observed; the stage
-    // histograms go unfed (they are a projection of spans and there are
-    // none). bench_query_stages measures traced-vs-this to bound overhead.
+    // histograms go unfed (they are folded from spans and there are none).
+    // bench_query_stages measures traced-vs-this to bound overhead.
     const QueryMetrics& m = QueryMetrics::Get();
     uint64_t t0 = metrics::MonotonicNanos();
     auto out = backend_->Query(q, nullptr);
@@ -254,15 +238,14 @@ Result<QueryResult> Service::QueryInternal(const core::Query& q,
     }
     return out;
   }
-  // Traced path: one span tree per call, rooted here so total_ns is the
+  // Traced path: one span tree per call, rooted here so the total is the
   // root span's interval — stage histograms, slow-query logs, the trace
-  // header, and /debug/traces all project from this one tree.
+  // header, and /debug/traces all fold from this one tree.
   core::QueryTrace local;
   core::QueryTrace* t = caller_trace != nullptr ? caller_trace : &local;
   trace::SpanTree* tree = t->EnsureSpans("query");
   auto out = backend_->Query(q, t);
   tree->EndRoot();
-  t->ProjectSpans();
   ObserveQueryTrace(*t, out.ok());
   ring_->Offer(t->spans);
   if (out.ok()) MaybeEnqueueCanary(q, out.value());

@@ -139,10 +139,12 @@ struct ServiceOptions {
   // --- introspection plane (common/span.h, common/flight_recorder.h) -------
 
   /// Build a causal span tree for every Query/QueryBatch/Append and feed the
-  /// stage histograms from its projection. Off = the processor runs with no
-  /// trace at all (the true zero-overhead baseline; only total latency is
-  /// observed). Callers that pass their own QueryTrace are always traced,
-  /// regardless of this switch. Tracing never changes response bytes.
+  /// stage histograms from its fold by span name. Off = the processor runs
+  /// with no trace at all (the true zero-overhead baseline; only total
+  /// latency is observed). Callers that pass their own QueryTrace are
+  /// always traced, regardless of this switch. SpServer passes one only
+  /// for X-Vchain-Trace requests or a slow-query threshold. Tracing never
+  /// changes response bytes.
   bool tracing = true;
 
   /// Finished span trees retained for GET /debug/traces: FIFO capacity of
@@ -263,11 +265,12 @@ class Service {
   /// Answer one Boolean range query: <R, VO> as a QueryResult.
   /// InvalidArgument for a structurally invalid query.
   ///
-  /// `trace` (optional) receives the per-stage wall-time/work breakdown
-  /// (core/query_trace.h), total_ns included. Every query is stage-timed
-  /// internally either way — the breakdown feeds the
-  /// vchain_service_query_stage_seconds histograms — so passing a trace
-  /// costs nothing extra and never changes the response bytes.
+  /// `trace` (optional) receives the query's span tree and work counts
+  /// (core/query_trace.h; QueryTrace::Stages folds the per-stage times).
+  /// With ServiceOptions::tracing on, every query is stage-timed either way
+  /// — the tree feeds the vchain_service_query_stage_seconds histograms —
+  /// so passing a trace costs nothing extra; with it off, only a passed
+  /// trace is timed. Tracing never changes the response bytes.
   Result<QueryResult> Query(const core::Query& q,
                             core::QueryTrace* trace = nullptr);
 

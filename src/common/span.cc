@@ -66,38 +66,6 @@ uint64_t SpanTree::DroppedSpans() const {
   return dropped_;
 }
 
-uint64_t SpanTree::SumDurationsNs(const char* name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t sum = 0;
-  for (const Span& s : spans_) {
-    // Literal names make pointer equality tempting, but two translation
-    // units may not pool identical literals — compare contents.
-    if (std::string_view(s.name) == name) sum += s.DurationNs();
-  }
-  return sum;
-}
-
-uint64_t SpanTree::SumDurationsUnderNs(const char* name,
-                                       const char* ancestor) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t sum = 0;
-  for (const Span& s : spans_) {
-    if (std::string_view(s.name) != name) continue;
-    for (uint32_t p = s.parent; p != 0; p = spans_[p - 1].parent) {
-      if (std::string_view(spans_[p - 1].name) == ancestor) {
-        sum += s.DurationNs();
-        break;
-      }
-    }
-  }
-  return sum;
-}
-
-std::vector<Span> SpanTree::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
 void SpanTree::AppendJson(std::string* out, size_t max_spans) const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t base = spans_.front().start_ns;

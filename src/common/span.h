@@ -3,16 +3,16 @@
 // A SpanTree is one request's wall-time decomposition as a tree: every span
 // has an id, a parent id, a static name, a monotonic [start, end) interval,
 // and optional numeric key=value notes. The query path builds one tree per
-// traced request (core::QueryTrace owns the pointer); the flat per-stage
-// fields of QueryTrace are *projected* from the spans afterwards
-// (QueryTrace::ProjectSpans), so the stage histograms, the slow-query warn
-// log, the X-Vchain-Trace header, and GET /debug/traces all read the same
-// single measurement — there is no parallel timing mechanism.
+// traced request (core::QueryTrace owns the pointer). The tree is the only
+// timing record: per-stage times are folded from it by span name on demand
+// (core::FoldStages, over WithSpans), so the stage histograms, the
+// slow-query warn log, the X-Vchain-Trace header, and GET /debug/traces all
+// read the same single measurement.
 //
 // Concurrency: a tree is written by the query thread and, during deferred
-// proving, by pool workers (prove_task spans), so every mutating method
-// takes the tree's mutex. The lock is uncontended in the common case (one
-// writer) and each operation is a few stores — tens of nanoseconds against
+// proving, by pool workers (prove_task spans), so every method takes the
+// tree's mutex. The lock is uncontended in the common case (one writer)
+// and each operation is a few stores — tens of nanoseconds against
 // milliseconds of proving (the ≤3% overhead bound is asserted by
 // bench_query_stages' traced-vs-untraced column).
 //
@@ -96,14 +96,14 @@ class SpanTree {
   size_t NumSpans() const;
   uint64_t DroppedSpans() const;
 
-  /// Sum of DurationNs over spans named `name`.
-  uint64_t SumDurationsNs(const char* name) const;
-  /// Sum of DurationNs over spans named `name` that have an ancestor named
-  /// `ancestor` — e.g. inline "prove" spans under the "match_walk" span,
-  /// which the stage projection subtracts to keep stages non-overlapping.
-  uint64_t SumDurationsUnderNs(const char* name, const char* ancestor) const;
-
-  std::vector<Span> Snapshot() const;
+  /// Run `fn(spans)` under the tree's lock and return its result: a read
+  /// of the live spans (spans[i].id == i + 1, root first) with no copy.
+  /// `fn` must not call back into this tree.
+  template <typename Fn>
+  auto WithSpans(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fn(static_cast<const std::vector<Span>&>(spans_));
+  }
 
   /// Append the spans as a JSON array to `*out`: single-line ASCII (header
   /// safe), start/end rebased to the root's start. At most `max_spans` are

@@ -84,9 +84,8 @@ class QueryProcessor {
                                                 QueryTrace* trace = nullptr) {
     trace_ = trace;
     // A traced call always has a span tree: stage timing is done entirely in
-    // spans, and the flat fields are projected back at the end, so direct
-    // callers of the processor (tests, benches) see the same stage numbers
-    // the api tier does.
+    // spans (folded by name in QueryTrace::Stages), so direct callers of the
+    // processor (tests, benches) see the same stage numbers the api tier does.
     spans_ = trace != nullptr ? trace->EnsureSpans() : nullptr;
 
     uint32_t s_setup = SpanBegin("setup");
@@ -181,12 +180,10 @@ class QueryProcessor {
     if (spans_ != nullptr) spans_->End(id);
   }
 
-  /// Project the span tree into the flat stage fields and clear the
-  /// per-call tracing state; passes its argument through so every return
-  /// path reads `return FinishTrace(...)`.
+  /// Clear the per-call tracing state; passes its argument through so
+  /// every return path reads `return FinishTrace(...)`.
   template <typename T>
   T FinishTrace(T value) {
-    if (trace_ != nullptr) trace_->ProjectSpans();
     trace_ = nullptr;
     spans_ = nullptr;
     walk_span_ = 0;
@@ -210,8 +207,8 @@ class QueryProcessor {
   /// Cache-consulting proof with trace attribution. When tracing,
   /// hit/miss/proved counters are bumped and — for inline proofs during
   /// the walk (`in_walk`) — a "prove" span nested under the walk span is
-  /// opened, which the stage projection subtracts from match_walk_ns so
-  /// walk and prove stay non-overlapping (FlushAggregates' proving stays
+  /// opened, which the stage fold subtracts from match_walk so walk and
+  /// prove stay non-overlapping (FlushAggregates' proving stays
   /// inside the aggregate stage instead).
   Result<typename Engine::Proof> TracedGetOrProve(
       const typename Engine::ObjectDigest& digest, const Multiset& w,

@@ -553,23 +553,28 @@ HttpResponse SpServer::HandleSync(const HttpRequest& req) const {
 HttpResponse SpServer::HandleQuery(const HttpRequest& req) const {
   auto query = QueryFromJson(req.body);
   if (!query.ok()) return ErrorResponse(query.status());
-  // Always collect the trace — Service stage-times every query anyway, so
-  // this only decides whether the breakdown also rides a response header.
-  // The body stays the canonical response bytes verbatim either way.
+  // Collect a trace only when something here reads it: the response header
+  // or the slow-query log. Otherwise Service applies its own `tracing`
+  // option. The body is the canonical response bytes verbatim either way.
+  const bool want_header = TraceRequested(req);
+  const bool want_trace = want_header || options_.slow_query_ms > 0;
   core::QueryTrace trace;
-  auto result = service_->Query(query.value(), &trace);
-  if (options_.slow_query_ms > 0 && result.ok() &&
-      trace.total_ns >= options_.slow_query_ms * 1000000ull) {
-    logging::Warn("slow_query")
-        .Kv("total_ms", static_cast<double>(trace.total_ns) * 1e-6)
-        .Kv("prove_ms", static_cast<double>(trace.prove_ns) * 1e-6)
-        .Kv("walk_ms", static_cast<double>(trace.match_walk_ns) * 1e-6)
-        .Kv("aggregate_ms", static_cast<double>(trace.aggregate_ns) * 1e-6)
-        .Kv("blocks_walked", trace.blocks_walked)
-        .Kv("results", trace.results_matched)
-        .Kv("cache_hits", trace.proof_cache_hits)
-        .Kv("cache_misses", trace.proof_cache_misses)
-        .Kv("spans", trace.spans != nullptr ? trace.spans->NumSpans() : 0);
+  auto result = service_->Query(query.value(), want_trace ? &trace : nullptr);
+  if (options_.slow_query_ms > 0 && result.ok()) {
+    const core::StageTimes st = trace.Stages();
+    if (st.total_ns >= options_.slow_query_ms * 1000000ull) {
+      logging::LogLine line = logging::Warn("slow_query");
+      line.Kv("total_ms", static_cast<double>(st.total_ns) * 1e-6);
+      for (size_t i = 0; i < core::kNumQueryStages; ++i) {
+        line.Kv(std::string(core::kQueryStages[i]) + "_ms",
+                static_cast<double>(st.stage_ns[i]) * 1e-6);
+      }
+      line.Kv("blocks_walked", trace.blocks_walked)
+          .Kv("results", trace.results_matched)
+          .Kv("cache_hits", trace.proof_cache_hits)
+          .Kv("cache_misses", trace.proof_cache_misses)
+          .Kv("spans", trace.spans->NumSpans());
+    }
   }
   if (!result.ok()) return ErrorResponse(result.status());
   HttpResponse resp;
@@ -581,7 +586,7 @@ HttpResponse SpServer::HandleQuery(const HttpRequest& req) const {
                             std::to_string(result.value().vo_bytes));
   resp.headers.emplace_back("X-Vchain-Results",
                             std::to_string(result.value().objects.size()));
-  if (TraceRequested(req)) {
+  if (want_header) {
     resp.headers.emplace_back("X-Vchain-Trace", trace.ToJson());
   }
   return resp;

@@ -50,7 +50,9 @@
 // body — the response bytes stay the canonical <R, VO> encoding verbatim,
 // bit-identical with tracing on or off, so verification is unaffected.
 // Queries slower than Options.slow_query_ms are logged at warn level with
-// the same stage breakdown and the ambient request id.
+// one `<stage>_ms` per core::kQueryStages entry and the ambient request id.
+// A query that asks for neither is handed to the Service untraced, so
+// ServiceOptions::tracing = false holds on the wire too.
 //
 // Availability: the embedded HttpServer enforces the connection cap, per-IP
 // rate limit, and slow-loris timeouts (HttpServer::Options); Drain() is the

@@ -1,8 +1,9 @@
 // Span trees: structure, durations, notes, the ambient thread-local
-// context, the kMaxSpans drop path, JSON shape, and TraceRing retention
-// (sampled FIFO + always-keep-slowest). The TSan CI job runs the
-// concurrent-writers case — the tree is written by the query thread and
-// pool workers at once during deferred proving.
+// context, the kMaxSpans drop path, JSON shape, the stage fold
+// (core::FoldStages) on hand-built trees, and TraceRing retention (sampled
+// FIFO + always-keep-slowest). The TSan CI job runs the concurrent-writers
+// case — the tree is written by the query thread and pool workers at once
+// during deferred proving.
 
 #include "common/span.h"
 
@@ -13,8 +14,183 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+#include "core/query_trace.h"
+
 namespace vchain::trace {
 namespace {
+
+using core::kQueryStages;
+using core::StageTimes;
+
+/// A copy of the tree's spans (WithSpans lends the live vector).
+std::vector<Span> Copy(const SpanTree& t) {
+  return t.WithSpans([](const std::vector<Span>& spans) { return spans; });
+}
+
+/// Spin until the monotonic clock has advanced `us` microseconds, so every
+/// hand-built span has a nonzero, distinct-enough duration.
+void Spin(uint64_t us) {
+  const uint64_t until = metrics::MonotonicNanos() + us * 1000;
+  while (metrics::MonotonicNanos() < until) {
+  }
+}
+
+/// Open a span under `parent`, spin, close it; returns its id.
+uint32_t Leaf(SpanTree* t, const char* name, uint32_t parent, uint64_t us) {
+  uint32_t id = t->Begin(name, parent);
+  Spin(us);
+  t->End(id);
+  return id;
+}
+
+/// Duration of span `id` in a snapshot (0 for the null span).
+uint64_t Dur(const std::vector<Span>& spans, uint32_t id) {
+  return id == 0 ? 0 : spans[id - 1].DurationNs();
+}
+
+/// The flat-field formula the fold replaces, over a copy of the spans: every
+/// stage sums its spans by name; only inline prove (a prove span with a
+/// match_walk ancestor) is subtracted, from match_walk, clamped at 0; msm
+/// sums on its own; the total is the root's duration.
+StageTimes ProjectionOracle(const SpanTree& t) {
+  const std::vector<Span> spans = Copy(t);
+  auto sum = [&](const char* name) {
+    uint64_t total = 0;
+    for (const Span& s : spans) {
+      if (std::string(s.name) == name) total += s.DurationNs();
+    }
+    return total;
+  };
+  uint64_t inline_prove = 0;
+  for (const Span& s : spans) {
+    if (std::string(s.name) != "prove") continue;
+    for (uint32_t p = s.parent; p != 0; p = spans[p - 1].parent) {
+      if (std::string(spans[p - 1].name) == "match_walk") {
+        inline_prove += s.DurationNs();
+        break;
+      }
+    }
+  }
+  StageTimes out;
+  for (size_t i = 0; i < core::kNumQueryStages; ++i) {
+    out.stage_ns[i] = sum(kQueryStages[i]);
+  }
+  const int walk = core::QueryStageIndex("match_walk");
+  out.stage_ns[walk] = out.stage_ns[walk] > inline_prove
+                           ? out.stage_ns[walk] - inline_prove : 0;
+  out.msm_ns = sum("msm");
+  out.total_ns = spans.front().DurationNs();
+  return out;
+}
+
+void ExpectSameStages(const StageTimes& got, const StageTimes& want) {
+  for (size_t i = 0; i < core::kNumQueryStages; ++i) {
+    EXPECT_EQ(got.stage_ns[i], want.stage_ns[i]) << kQueryStages[i];
+  }
+  EXPECT_EQ(got.msm_ns, want.msm_ns);
+  EXPECT_EQ(got.total_ns, want.total_ns);
+}
+
+// Every nesting the query path produces: inline prove under the walk
+// (subtracted from it), deferred prove under the root with prove_task
+// children (subtracted from nothing), msm under aggregate and block_read
+// under the walk (both left inside their parent).
+TEST(StageFoldTest, MatchesProjectionOnFullQueryShape) {
+  SpanTree t("query");
+  const uint32_t setup = Leaf(&t, "setup", kRootSpan, 20);
+  const uint32_t window = Leaf(&t, "window_lookup", kRootSpan, 20);
+  const uint32_t walk = t.Begin("match_walk");
+  const uint32_t read1 = Leaf(&t, "block_read", walk, 30);
+  const uint32_t inline_prove = Leaf(&t, "prove", walk, 60);
+  const uint32_t read2 = Leaf(&t, "block_read", walk, 30);
+  Spin(20);
+  t.End(walk);
+  const uint32_t agg = t.Begin("aggregate");
+  const uint32_t msm = Leaf(&t, "msm", agg, 50);
+  Spin(20);
+  t.End(agg);
+  const uint32_t deferred = t.Begin("prove");
+  Leaf(&t, "prove_task", deferred, 30);
+  Leaf(&t, "prove_task", deferred, 30);
+  t.End(deferred);
+  const uint32_t serialize = Leaf(&t, "serialize", kRootSpan, 20);
+  t.EndRoot();
+
+  const StageTimes got = core::FoldStages(t);
+  ExpectSameStages(got, ProjectionOracle(t));
+
+  const std::vector<Span> spans = Copy(t);
+  auto stage = [&](const char* name) {
+    return got.stage_ns[core::QueryStageIndex(name)];
+  };
+  EXPECT_EQ(stage("setup"), Dur(spans, setup));
+  EXPECT_EQ(stage("window_lookup"), Dur(spans, window));
+  // Inline prove leaves the walk; the block reads stay inside it.
+  EXPECT_EQ(stage("match_walk"), Dur(spans, walk) - Dur(spans, inline_prove));
+  EXPECT_GT(Dur(spans, read1) + Dur(spans, read2), 0u);
+  // msm stays inside aggregate and is reported beside it.
+  EXPECT_EQ(stage("aggregate"), Dur(spans, agg));
+  EXPECT_EQ(got.msm_ns, Dur(spans, msm));
+  EXPECT_LT(got.msm_ns, stage("aggregate"));
+  // Both prove spans count; prove_task is not subtracted from the deferred.
+  EXPECT_EQ(stage("prove"), Dur(spans, inline_prove) + Dur(spans, deferred));
+  EXPECT_EQ(stage("serialize"), Dur(spans, serialize));
+  EXPECT_EQ(got.total_ns, t.RootDurationNs());
+  EXPECT_LE(got.StageSumNs(), got.total_ns);
+}
+
+// A tree that hit kMaxSpans: the inline prove span was dropped, so its time
+// stays inside the walk and nothing is subtracted.
+TEST(StageFoldTest, OverflowedTreeKeepsDroppedTimeInParent) {
+  SpanTree t("query");
+  const uint32_t walk = t.Begin("match_walk");
+  while (t.NumSpans() < SpanTree::kMaxSpans) {
+    t.End(t.Begin("block_read", walk));
+  }
+  const uint32_t dropped = Leaf(&t, "prove", walk, 50);
+  EXPECT_EQ(dropped, 0u);
+  t.End(walk);
+  t.EndRoot();
+  ASSERT_GT(t.DroppedSpans(), 0u);
+
+  const StageTimes got = core::FoldStages(t);
+  ExpectSameStages(got, ProjectionOracle(t));
+  const std::vector<Span> spans = Copy(t);
+  EXPECT_EQ(got.stage_ns[core::QueryStageIndex("match_walk")],
+            Dur(spans, walk));
+  EXPECT_EQ(got.stage_ns[core::QueryStageIndex("prove")], 0u);
+  EXPECT_GE(got.stage_ns[core::QueryStageIndex("match_walk")], 50000u);
+}
+
+// A still-open walk has duration 0; its closed inline prove clamps the walk
+// at 0 instead of wrapping. An open root folds to a 0 total.
+TEST(StageFoldTest, OpenSpansClampAtZero) {
+  SpanTree t("query");
+  const uint32_t walk = t.Begin("match_walk");
+  Leaf(&t, "prove", walk, 20);
+  const StageTimes got = core::FoldStages(t);
+  ExpectSameStages(got, ProjectionOracle(t));
+  EXPECT_EQ(got.stage_ns[core::QueryStageIndex("match_walk")], 0u);
+  EXPECT_GT(got.stage_ns[core::QueryStageIndex("prove")], 0u);
+  EXPECT_EQ(got.total_ns, 0u);
+}
+
+// No tree, no stage times; the JSON still carries every flat key.
+TEST(StageFoldTest, TraceWithoutTreeFoldsToZero) {
+  core::QueryTrace trace;
+  const StageTimes st = trace.Stages();
+  EXPECT_EQ(st.total_ns, 0u);
+  EXPECT_EQ(st.StageSumNs(), 0u);
+  EXPECT_EQ(st.msm_ns, 0u);
+  const std::string json = trace.ToJson();
+  EXPECT_EQ(json.find("\"spans\""), std::string::npos);
+  for (const char* stage : kQueryStages) {
+    EXPECT_NE(json.find("\"" + std::string(stage) + "_ns\":0"),
+              std::string::npos)
+        << json;
+  }
+}
 
 TEST(SpanTreeTest, RootAndChildren) {
   SpanTree t("query");
@@ -29,7 +205,7 @@ TEST(SpanTreeTest, RootAndChildren) {
 
   EXPECT_EQ(t.NumSpans(), 3u);
   EXPECT_EQ(t.DroppedSpans(), 0u);
-  std::vector<Span> spans = t.Snapshot();
+  std::vector<Span> spans = Copy(t);
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].id, kRootSpan);
   EXPECT_EQ(spans[0].parent, 0u);
@@ -48,33 +224,6 @@ TEST(SpanTreeTest, NullIdIsNoOp) {
   t.Note(0, "k", 1);
   t.End(999);  // unknown id: ignored
   EXPECT_EQ(t.NumSpans(), 1u);
-}
-
-TEST(SpanTreeTest, SumDurationsByNameAndAncestor) {
-  SpanTree t("query");
-  uint32_t walk = t.Begin("match_walk");
-  uint32_t p1 = t.Begin("prove", walk);  // inline prove, under the walk
-  t.End(p1);
-  t.End(walk);
-  uint32_t p2 = t.Begin("prove");  // deferred prove, under the root
-  t.End(p2);
-  t.EndRoot();
-
-  uint64_t all = t.SumDurationsNs("prove");
-  uint64_t inline_only = t.SumDurationsUnderNs("prove", "match_walk");
-  EXPECT_GE(all, inline_only);
-  std::vector<Span> spans = t.Snapshot();
-  uint64_t expect_inline = 0, expect_all = 0;
-  for (const Span& s : spans) {
-    if (std::string(s.name) == "prove") {
-      expect_all += s.DurationNs();
-      if (s.parent == walk) expect_inline += s.DurationNs();
-    }
-  }
-  EXPECT_EQ(all, expect_all);
-  EXPECT_EQ(inline_only, expect_inline);
-  EXPECT_EQ(t.SumDurationsNs("no_such_span"), 0u);
-  EXPECT_EQ(t.SumDurationsUnderNs("prove", "no_such_ancestor"), 0u);
 }
 
 TEST(SpanTreeTest, CapsAtMaxSpansAndCountsDrops) {
@@ -175,8 +324,11 @@ TEST(SpanTreeTest, ConcurrentWritersAreSafe) {
   // 1 root + 1 prove + 128 tasks = 130 < kMaxSpans: nothing dropped.
   EXPECT_EQ(t.NumSpans(), 2u + kThreads * kSpansEach);
   EXPECT_EQ(t.DroppedSpans(), 0u);
-  EXPECT_EQ(t.SumDurationsNs("prove_task"),
-            t.SumDurationsUnderNs("prove_task", "prove"));
+  for (const Span& s : Copy(t)) {
+    if (std::string(s.name) == "prove_task") {
+      EXPECT_EQ(s.parent, prove);
+    }
+  }
 }
 
 TEST(TraceRingTest, SamplesEveryNthAndEvictsFifo) {

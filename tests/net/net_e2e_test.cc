@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "common/rand.h"
@@ -131,8 +132,11 @@ ServiceOptions MakeOptions(EngineKind kind) {
 }
 
 /// SP-side service with a small deterministic chain mined in.
-std::unique_ptr<Service> MakeServedService(EngineKind kind) {
-  auto svc = Service::Open(MakeOptions(kind)).TakeValue();
+std::unique_ptr<Service> MakeServedService(EngineKind kind,
+                                           bool tracing = true) {
+  ServiceOptions opts = MakeOptions(kind);
+  opts.tracing = tracing;
+  auto svc = Service::Open(opts).TakeValue();
   static const char* kMakes[] = {"Benz", "BMW", "Audi", "Toyota"};
   static const char* kTypes[] = {"Sedan", "Van", "SUV"};
   Rng rng(42);
@@ -257,14 +261,15 @@ TYPED_TEST(NetE2eTest, TraceStagesSumToTotal) {
   core::QueryTrace trace;
   auto local = this->service_->Query(q, &trace);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_GT(trace.total_ns, 0u);
-  uint64_t stage_sum = trace.StageSumNs();
+  const core::StageTimes st = trace.Stages();
+  ASSERT_GT(st.total_ns, 0u);
+  uint64_t stage_sum = st.StageSumNs();
   ASSERT_GT(stage_sum, 0u);
-  EXPECT_LE(stage_sum, trace.total_ns)
+  EXPECT_LE(stage_sum, st.total_ns)
       << "stages cannot exceed the enclosing total";
-  uint64_t slack = std::max<uint64_t>(trace.total_ns / 10, 200000);  // 200 µs
-  EXPECT_GE(stage_sum + slack, trace.total_ns)
-      << "untraced gap too large: total=" << trace.total_ns
+  uint64_t slack = std::max<uint64_t>(st.total_ns / 10, 200000);  // 200 µs
+  EXPECT_GE(stage_sum + slack, st.total_ns)
+      << "untraced gap too large: total=" << st.total_ns
       << " stage_sum=" << stage_sum;
   // The work counts describe this workload: 8 blocks walked, results found.
   EXPECT_GT(trace.blocks_walked, 0u);
@@ -532,6 +537,79 @@ TEST(NetE2eRawTest, InjectedRegistryServesRouteCountersAndServiceGauges) {
   }
   // Debug routes are off: not even a zero counter names them.
   EXPECT_EQ(text.find("route=\"/debug\""), std::string::npos);
+  server->Stop();
+}
+
+/// A wire client for the mock-acc2 service behind `server`.
+std::unique_ptr<SpClient> ConnectMockAcc2(const SpServer& server) {
+  SpClient::Options copts;
+  copts.port = server.port();
+  copts.verify = MakeOptions(EngineKind::kMockAcc2);
+  return SpClient::Connect(copts).TakeValue();
+}
+
+// The trace header's flat keys are a wire contract (perfbench reads the
+// first `"<key>":` match), so they must all precede the span array; and the
+// stage histograms carry exactly the six primary stages as labels.
+TEST(NetE2eRawTest, TraceHeaderKeysPrecedeSpansAndStageLabelsAreTheSix) {
+  auto svc = MakeServedService(EngineKind::kMockAcc2);
+  SpServer::Options sopts;
+  sopts.http.num_threads = 1;
+  auto server = SpServer::Start(svc.get(), sopts).TakeValue();
+  auto client = ConnectMockAcc2(*server);
+  std::string trace_json;
+  ASSERT_TRUE(client->Query(MatchyQuery(), &trace_json).ok());
+  const size_t spans_at = trace_json.find("\"spans\":");
+  ASSERT_NE(spans_at, std::string::npos) << trace_json;
+  for (const char* key :
+       {"total_ns", "setup_ns", "window_lookup_ns", "match_walk_ns",
+        "aggregate_ns", "prove_ns", "serialize_ns", "msm_ns",
+        "blocks_walked", "skips_taken", "nodes_visited", "results_matched",
+        "proofs_computed", "proof_cache_hits", "proof_cache_misses"}) {
+    const size_t at = trace_json.find("\"" + std::string(key) + "\":");
+    ASSERT_NE(at, std::string::npos) << key << " in " << trace_json;
+    EXPECT_LT(at, spans_at) << key << " must precede \"spans\"";
+  }
+
+  HttpConnection conn({.host = "127.0.0.1", .port = server->port()});
+  auto resp = conn.RoundTrip("GET", "/metrics", "", "text/plain");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  const std::string& text = resp.value().body;
+  const std::string prefix =
+      "vchain_service_query_stage_seconds_count{stage=\"";
+  std::set<std::string> labels;
+  for (size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const size_t begin = at + prefix.size();
+    labels.insert(text.substr(begin, text.find('"', begin) - begin));
+  }
+  EXPECT_EQ(labels, (std::set<std::string>{"setup", "window_lookup",
+                                           "match_walk", "aggregate", "prove",
+                                           "serialize"}));
+  server->Stop();
+}
+
+// ServiceOptions::tracing = false holds on the wire: a plain POST /query
+// builds no span tree (nothing reaches the trace ring), while a request
+// that asks for X-Vchain-Trace still gets every stage key.
+TEST(NetE2eRawTest, TracingOffServiceBuildsNoTreeForPlainQueries) {
+  auto svc = MakeServedService(EngineKind::kMockAcc2, /*tracing=*/false);
+  SpServer::Options sopts;
+  sopts.http.num_threads = 1;
+  auto server = SpServer::Start(svc.get(), sopts).TakeValue();
+  auto client = ConnectMockAcc2(*server);
+  ASSERT_TRUE(client->Query(MatchyQuery()).ok());
+  EXPECT_EQ(svc->Stats().trace_ring_occupancy, 0u);
+
+  std::string trace_json;
+  ASSERT_TRUE(client->Query(MatchyQuery(), &trace_json).ok());
+  for (const char* key : {"total_ns", "setup_ns", "window_lookup_ns",
+                          "match_walk_ns", "aggregate_ns", "prove_ns",
+                          "serialize_ns", "msm_ns"}) {
+    EXPECT_NE(trace_json.find("\"" + std::string(key) + "\":"),
+              std::string::npos)
+        << key << " in " << trace_json;
+  }
   server->Stop();
 }
 

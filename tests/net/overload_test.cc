@@ -299,6 +299,11 @@ TEST(OverloadTest, StorageFaultDegradesToReadOnlyServiceAndHealthz503) {
             std::string::npos);
   EXPECT_NE(scrape.value().body.find("\nvchain_service_durable 1\n"),
             std::string::npos);
+  // The server's scrape-time collector is the gauge's only writer: the
+  // degraded flip itself leaves the process-wide registry untouched.
+  EXPECT_EQ(metrics::Registry::Default().WriteText().find(
+                "\nvchain_service_degraded 1\n"),
+            std::string::npos);
 
   SpClient::Options copts;
   copts.port = server.value()->port();

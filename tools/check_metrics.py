@@ -174,11 +174,12 @@ def check_histograms(families, samples):
 
 
 def check_span_stage_reconciliation(samples):
-    """The per-stage histograms are *projections* of the query span tree
-    (core::QueryTrace::ProjectSpans), not an independent mechanism — so for
-    a scrape where every query fed the stages (each stage _count equals the
-    query _count; the untraced fast path feeds only the total), the summed
-    stage time must reconcile with total query time. A stage that silently
+    """The per-stage histograms are folded from the query span tree by span
+    name (core::FoldStages, one histogram per core::kQueryStages entry), not
+    an independent mechanism — so for a scrape where every query fed the
+    stages (each stage _count equals the query _count; the untraced fast
+    path feeds only the total), the summed stage time must reconcile with
+    total query time. A stage that silently
     stopped being fed, or a span double-counted into two stages, shows up
     here."""
     total_sum = None

@@ -133,7 +133,12 @@ for engine in mock-acc1 mock-acc2 acc1 acc2; do
   start_spd "$engine" "$store" "$WORK_DIR/spd-$engine.log"
   scrape_metrics "$PORT" "$WORK_DIR/metrics-$engine-1.txt"
   "$CLIENT" --engine "$engine" --port "$PORT" --demo-query \
-            --expect-hash "$HASH" --timing
+            --expect-hash "$HASH" --timing | tee "$WORK_DIR/timing-$engine.txt"
+  # The X-Vchain-Trace header keys, pinned across a process boundary.
+  for key in '"match_walk_ns":' '"prove_ns":'; do
+    grep -qF "$key" "$WORK_DIR/timing-$engine.txt" || {
+      echo "sp_query --timing output lacks $key"; exit 1; }
+  done
   scrape_metrics "$PORT" "$WORK_DIR/metrics-$engine-2.txt"
   # The service-state gauges /metrics carries (the server's one stats
   # surface): the demo chain's height, and not degraded.
