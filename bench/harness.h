@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -38,7 +39,9 @@ using workload::DatasetProfile;
 
 /// Machine-readable results alongside the human tables: every figure/table
 /// driver appends rows and flushes `BENCH_<name>.json` on destruction, so
-/// the perf trajectory can be diffed across PRs.
+/// the perf trajectory can be diffed across PRs. A `meta` block records the
+/// machine (online cores, CPU model): numbers from different machines are
+/// not comparable.
 class BenchJson {
  public:
   explicit BenchJson(const std::string& name) {
@@ -54,18 +57,24 @@ class BenchJson {
   /// window size), median latency in ns, and throughput in ops/s.
   void Add(const std::string& op, size_t n, double median_ns,
            double throughput) {
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "    {\"op\": \"%s\", \"n\": %zu, \"median_ns\": %.1f, "
-                  "\"throughput\": %.4f}",
-                  op.c_str(), n, median_ns, throughput);
-    rows_.push_back(row);
+    AddRow(op, n, median_ns, throughput, "");
+  }
+
+  /// A row measured over repetitions: its median plus the p10/p90 spread.
+  void Add(const std::string& op, size_t n, double median_ns,
+           double throughput, double p10, double p90) {
+    char spread[96];
+    std::snprintf(spread, sizeof(spread), ", \"p10\": %.1f, \"p90\": %.1f",
+                  p10, p90);
+    AddRow(op, n, median_ns, throughput, spread);
   }
 
   ~BenchJson() {
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) return;
-    std::fprintf(f, "{\n  \"rows\": [\n");
+    std::fprintf(f, "{\n  \"meta\": {\"nproc\": %u, \"cpu_model\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(), CpuModel().c_str());
+    std::fprintf(f, "  \"rows\": [\n");
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(f, "%s%s\n", rows_[i].c_str(),
                    i + 1 < rows_.size() ? "," : "");
@@ -77,6 +86,41 @@ class BenchJson {
   }
 
  private:
+  void AddRow(const std::string& op, size_t n, double median_ns,
+              double throughput, const char* extra) {
+    char row[384];
+    std::snprintf(row, sizeof(row),
+                  "    {\"op\": \"%s\", \"n\": %zu, \"median_ns\": %.1f, "
+                  "\"throughput\": %.4f%s}",
+                  op.c_str(), n, median_ns, throughput, extra);
+    rows_.push_back(row);
+  }
+
+  /// The first "model name" of /proc/cpuinfo ("unknown" elsewhere), with
+  /// JSON-unsafe characters dropped.
+  static std::string CpuModel() {
+    std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+    if (f == nullptr) return "unknown";
+    std::string model = "unknown";
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      std::string l(line);
+      if (l.rfind("model name", 0) != 0) continue;
+      size_t colon = l.find(':');
+      if (colon == std::string::npos) break;
+      model.clear();
+      for (char ch : l.substr(colon + 1)) {
+        const bool safe = std::isprint(static_cast<unsigned char>(ch)) &&
+                          ch != '"' && ch != '\\';
+        if (safe) model += ch;
+      }
+      while (!model.empty() && model.front() == ' ') model.erase(0, 1);
+      break;
+    }
+    std::fclose(f);
+    return model;
+  }
+
   std::string path_;
   std::vector<std::string> rows_;
 };

@@ -28,7 +28,7 @@ G1 Acc1Engine::CommitPolyG1(const Poly& p) const {
     bases.push_back(oracle_->G1PowerOf(i));
     scalars.push_back(p.coeffs()[i].ToCanonical());
   }
-  return crypto::MultiScalarMul(bases, scalars, pool_);
+  return crypto::MultiScalarMul(bases, scalars);
 }
 
 G2 Acc1Engine::CommitPolyG2(const Poly& p) const {
@@ -45,7 +45,7 @@ G2 Acc1Engine::CommitPolyG2(const Poly& p) const {
     bases.push_back(oracle_->G2PowerOf(i));
     scalars.push_back(p.coeffs()[i].ToCanonical());
   }
-  return crypto::MultiScalarMul(bases, scalars, pool_);
+  return crypto::MultiScalarMul(bases, scalars);
 }
 
 Acc1Engine::ObjectDigest Acc1Engine::Digest(const Multiset& w) const {

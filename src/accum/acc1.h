@@ -20,7 +20,6 @@
 #include "accum/keys.h"
 #include "accum/multiset.h"
 #include "accum/polynomial.h"
-#include "common/thread_pool.h"
 
 namespace vchain::accum {
 
@@ -77,12 +76,6 @@ class Acc1Engine {
 
   const std::shared_ptr<KeyOracle>& oracle() const { return oracle_; }
 
-  /// Route honest-path multiexps through `pool` (window-parallel MSM).
-  /// Null (the default) keeps them serial; results are bit-identical either
-  /// way. Typically set to &ThreadPool::Shared().
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
-
  private:
   /// Characteristic polynomial of the mapped multiset.
   Poly CharPoly(const Multiset& w) const;
@@ -93,7 +86,6 @@ class Acc1Engine {
 
   std::shared_ptr<KeyOracle> oracle_;
   ProverMode mode_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace vchain::accum

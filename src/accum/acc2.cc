@@ -27,7 +27,7 @@ Acc2Engine::ObjectDigest Acc2Engine::Digest(const Multiset& w) const {
     bases.push_back(oracle_->G1PowerOf(e.element));
     scalars.push_back(U256(e.count));
   }
-  return ObjectDigest{crypto::MultiScalarMul(bases, scalars, pool_).ToAffine()};
+  return ObjectDigest{crypto::MultiScalarMul(bases, scalars).ToAffine()};
 }
 
 Acc2Engine::QueryDigest Acc2Engine::QueryDigestOf(const Multiset& clause) const {
@@ -40,7 +40,7 @@ Acc2Engine::QueryDigest Acc2Engine::QueryDigestOf(const Multiset& clause) const 
     bases.push_back(oracle_->G2PowerOf(q - e.element));
     scalars.push_back(U256(e.count));
   }
-  return QueryDigest{crypto::MultiScalarMul(bases, scalars, pool_).ToAffine()};
+  return QueryDigest{crypto::MultiScalarMul(bases, scalars).ToAffine()};
 }
 
 Result<Acc2Engine::Proof> Acc2Engine::ProveDisjoint(
@@ -68,19 +68,21 @@ Result<Acc2Engine::Proof> Acc2Engine::ProveDisjoint(
   }
   // Honest path: pi = prod over cross terms of g1^{s^{x_i + q - y_j}} with
   // weight m_i * m_j. Disjointness guarantees x_i + q - y_j != q. Cross-term
-  // powers are served uncached (they rarely recur; see keys.h).
-  std::vector<G1Affine> bases;
+  // powers come from one uncached batch request (they rarely recur; see
+  // keys.h).
+  std::vector<uint64_t> exponents;
   std::vector<U256> scalars;
-  bases.reserve(mw.DistinctSize() * mc.DistinctSize());
+  exponents.reserve(mw.DistinctSize() * mc.DistinctSize());
+  scalars.reserve(mw.DistinctSize() * mc.DistinctSize());
   for (const Multiset::Entry& ew : mw.entries()) {
     for (const Multiset::Entry& ec : mc.entries()) {
-      uint64_t idx = ew.element + q - ec.element;
-      bases.push_back(oracle_->G1PowerOfUncached(idx));
+      exponents.push_back(ew.element + q - ec.element);
       scalars.push_back(
           U256(static_cast<uint64_t>(ew.count) * ec.count));
     }
   }
-  return Proof{crypto::MultiScalarMul(bases, scalars, pool_).ToAffine()};
+  return Proof{crypto::MultiScalarMul(oracle_->G1Powers(exponents), scalars)
+                   .ToAffine()};
 }
 
 bool Acc2Engine::VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,

@@ -26,7 +26,6 @@
 #include "accum/acc1.h"  // ProverMode
 #include "accum/keys.h"
 #include "accum/multiset.h"
-#include "common/thread_pool.h"
 
 namespace vchain::accum {
 
@@ -81,12 +80,6 @@ class Acc2Engine {
 
   const std::shared_ptr<KeyOracle>& oracle() const { return oracle_; }
 
-  /// Route honest-path multiexps through `pool` (window-parallel MSM).
-  /// Null (the default) keeps them serial; results are bit-identical either
-  /// way. Typically set to &ThreadPool::Shared().
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
-
  private:
   /// The multiset with ids folded into the universe (counts merged on
   /// collision).
@@ -94,7 +87,6 @@ class Acc2Engine {
 
   std::shared_ptr<KeyOracle> oracle_;
   ProverMode mode_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace vchain::accum

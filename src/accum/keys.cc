@@ -1,21 +1,56 @@
 #include "accum/keys.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/rand.h"
+#include "common/thread_pool.h"
 
 namespace vchain::accum {
 
+namespace {
+
+/// Normalize pts[0..n) to affine with one field inversion (Montgomery's
+/// simultaneous inversion over the z coordinates; infinity stays infinity).
+template <typename F>
+void BatchToAffine(const crypto::JacobianPoint<F>* pts, size_t n,
+                   crypto::AffinePoint<F>* out) {
+  std::vector<F> zs;
+  zs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!pts[i].IsInfinity()) zs.push_back(pts[i].z);
+  }
+  std::vector<F> scratch;
+  crypto::BatchInvert(zs.data(), zs.size(), &scratch);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (pts[i].IsInfinity()) {
+      out[i] = crypto::AffinePoint<F>();
+      continue;
+    }
+    const F& zi = zs[k++];
+    F zi2 = zi.Square();
+    out[i] = crypto::AffinePoint<F>(pts[i].x * zi2, pts[i].y * zi2 * zi);
+  }
+}
+
+}  // namespace
+
 template <typename F>
 FixedBaseTable<F>::FixedBaseTable(const Affine& base) {
-  table_.resize(64);
+  std::vector<Point> jac(64 * 15);
   Point cur = Point::FromAffine(base);
-  for (int w = 0; w < 64; ++w) {
+  for (size_t w = 0; w < 64; ++w) {
     // cur == base * 2^{4w}; fill d*cur for d = 1..15.
-    table_[w][0] = cur;
+    Point* row = &jac[w * 15];
+    row[0] = cur;
     for (int d = 1; d < 15; ++d) {
-      table_[w][d] = table_[w][d - 1].Add(cur);
+      row[d] = row[d - 1].Add(cur);
     }
-    cur = table_[w][14].Add(cur);  // 16 * cur
+    cur = row[14].Add(cur);  // 16 * cur
   }
+  table_.resize(jac.size());
+  BatchToAffine(jac.data(), jac.size(), table_.data());
 }
 
 template <typename F>
@@ -24,7 +59,7 @@ typename FixedBaseTable<F>::Point FixedBaseTable<F>::Mul(const U256& k) const {
   for (int w = 0; w < 64; ++w) {
     uint64_t digit = (k.limb[w / 16] >> (4 * (w % 16))) & 0xF;
     if (digit != 0) {
-      acc = acc.Add(table_[w][digit - 1]);
+      acc = acc.AddAffine(table_[15 * w + digit - 1]);
     }
   }
   return acc;
@@ -78,6 +113,25 @@ G1Affine KeyOracle::G1PowerOf(uint64_t j) {
   G1Affine p = CommitG1(SecretPow(j)).ToAffine();
   g1_sparse_.emplace(j, p);
   return p;
+}
+
+std::vector<G1Affine> KeyOracle::G1Powers(
+    const std::vector<uint64_t>& exponents) const {
+  const size_t n = exponents.size();
+  std::vector<G1Affine> out(n);
+  auto run_chunk = [&](size_t c) {
+    const size_t begin = c * kPowerChunk;
+    const size_t len = std::min(kPowerChunk, n - begin);
+    std::array<G1, kPowerChunk> pts;
+    for (size_t i = 0; i < len; ++i) {
+      pts[i] = CommitG1(SecretPow(exponents[begin + i]));
+    }
+    BatchToAffine(pts.data(), len, &out[begin]);
+  };
+  const size_t chunks = (n + kPowerChunk - 1) / kPowerChunk;
+  ThreadPool::Shared().ParallelFor(chunks, ThreadPool::DefaultParallelism(),
+                                   run_chunk);
+  return out;
 }
 
 G2Affine KeyOracle::G2PowerOf(uint64_t j) {

@@ -7,14 +7,19 @@
 // The paper notes (§5.2.2) that publishing acc2's full key is impractical for
 // hash-sized universes and proposes a trusted oracle (TTP or SGX enclave)
 // that owns s and answers public-key requests on demand. `KeyOracle` plays
-// that role here: it serves lazily-computed, memoized powers of s in G1/G2.
-// It also exposes explicitly-named *trusted-path* evaluation helpers used for
-// fast test fixtures and for skipping miner work that a benchmark is not
-// measuring; honest-path code never touches them.
+// that role here. It serves memoized powers of s in G1/G2 one at a time, and
+// unmemoized G1 powers in batches: acc2's disjointness proof needs one power
+// per cross term, which rarely recur, so `G1Powers` computes them in chunks
+// on the shared pool with one field inversion per chunk. Every power is a
+// fixed-base multiplication over a table of affine multiples of the
+// generator. The oracle also exposes explicitly-named *trusted-path*
+// evaluation helpers used for fast test fixtures and for skipping miner work
+// that a benchmark is not measuring; honest-path code never touches them.
 
 #ifndef VCHAIN_ACCUM_KEYS_H_
 #define VCHAIN_ACCUM_KEYS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,7 +46,9 @@ struct AccParams {
   uint64_t UniverseSize() const { return uint64_t{1} << universe_bits; }
 };
 
-/// Precomputed 4-bit-window fixed-base table for fast g^k.
+/// Precomputed 4-bit-window fixed-base table for fast g^k: at most 64 mixed
+/// additions per multiplication, no doublings. Entries are affine
+/// (normalized once, with one inversion, at construction).
 template <typename F>
 class FixedBaseTable {
  public:
@@ -54,8 +61,8 @@ class FixedBaseTable {
   Point Mul(const U256& k) const;
 
  private:
-  // table_[w][d-1] = base * (d << (4w)), d in [1, 15].
-  std::vector<std::array<Point, 15>> table_;
+  // table_[15w + d-1] = base * (d << (4w)), w in [0, 64), d in [1, 15].
+  std::vector<Affine> table_;
 };
 
 /// The trusted oracle: owns the setup secret, serves public-key powers.
@@ -74,12 +81,15 @@ class KeyOracle {
   G1Affine G1PowerOf(uint64_t j);
   G2Affine G2PowerOf(uint64_t j);
 
-  /// Same value, no memoization. Used for acc2's disjointness cross terms
-  /// x_i + q - y_j, which rarely recur — memoizing them would grow the cache
-  /// by |X|*|Y| entries per proof without amortization.
-  G1Affine G1PowerOfUncached(uint64_t j) const {
-    return CommitG1(SecretPow(j)).ToAffine();
-  }
+  /// g1^{s^j} for every j of `exponents`, in order (repeats allowed), with
+  /// no memoization. Used for acc2's disjointness cross terms x_i + q - y_j,
+  /// which rarely recur — memoizing them would grow the cache by |X|*|Y|
+  /// entries per proof without amortization. Works in chunks of
+  /// kPowerChunk exponents, each normalized with one batched inversion; more
+  /// than one chunk runs on ThreadPool::Shared() (caller-participating, so
+  /// it is safe from inside a pool task). Thread-safe.
+  std::vector<G1Affine> G1Powers(const std::vector<uint64_t>& exponents) const;
+  static constexpr size_t kPowerChunk = 16;
 
   /// Eagerly materialize consecutive powers [0, n] (acc1 proving needs a
   /// dense prefix; this amortizes the lock).

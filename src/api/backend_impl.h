@@ -64,11 +64,6 @@ class ServiceBackend final : public IServiceBackend {
     const ServiceOptions& opts = b->options_;
 
     if (opts.store_dir.empty()) {
-      if (opts.retain_window != 0) {
-        return Status::InvalidArgument(
-            "retain_window requires a store_dir (pruned blocks must stay "
-            "reachable on disk)");
-      }
       b->builder_ = std::make_unique<core::ChainBuilder<Engine>>(b->engine_,
                                                                  opts.config);
     } else {
@@ -88,9 +83,10 @@ class ServiceBackend final : public IServiceBackend {
             b->engine_, opts.config);
         VCHAIN_RETURN_IF_ERROR(b->builder_->AttachStore(b->store_.get()));
       }
-      if (opts.retain_window != 0) {
-        VCHAIN_RETURN_IF_ERROR(b->builder_->SetRetainWindow(opts.retain_window));
-      }
+      // Every read past the miner goes through disk_source_, so the miner
+      // keeps only what the next block's skip construction reaches back to.
+      VCHAIN_RETURN_IF_ERROR(
+          b->builder_->SetRetainWindow(b->builder_->NeededTailBlocks()));
       b->disk_source_ =
           std::make_unique<store::ConcurrentStoreBlockSource<Engine>>(
               b->engine_, b->store_.get(), opts.config.block_cache_blocks);
@@ -344,6 +340,7 @@ class ServiceBackend final : public IServiceBackend {
     s.durable = store_ != nullptr;
     s.degraded = degraded_;
     s.num_blocks = builder_->NumBlocks();
+    s.resident_blocks = builder_->blocks().size();
     s.queries_served = queries_served_.load(std::memory_order_relaxed);
     s.subscriptions_active = subs_.NumActive();
     s.subscription_events_pending = event_log_.size();
@@ -468,7 +465,7 @@ class ServiceBackend final : public IServiceBackend {
       auto handle = disk_source_->MakeHandle(store_->NumBlocks());
       return build(handle.BlockAt(height));
     }
-    // In-memory mode never prunes (retain_window requires a store), so the
+    // In-memory mode never prunes (only a store-backed miner does), so the
     // builder's vector is indexed by absolute height.
     return build(builder_->blocks()[height]);
   }

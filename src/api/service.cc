@@ -514,8 +514,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendStringField(&out, "store_dir", o.store_dir, defaults.store_dir,
                     &first);
-  AppendField(&out, "retain_window", o.retain_window, defaults.retain_window,
-              &first);
   AppendField(&out, "proof_cache_shards", o.proof_cache_shards,
               defaults.proof_cache_shards, &first);
   AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,

@@ -105,12 +105,11 @@ struct ServiceOptions {
   /// Durable store directory; empty = in-memory chain. A non-empty dir is
   /// opened (created if absent) and appends write through; reopening the
   /// same dir resumes the persisted chain without recomputing a digest.
+  /// With a store the miner keeps only the skip-construction tail of
+  /// decoded blocks in RAM; queries, the subscription drain and event
+  /// regeneration read through the store's decoded-block cache.
   std::string store_dir;
   store::BlockStore::Options store_options;
-  /// With a store: bound the miner's resident tail to this many blocks
-  /// (0 = keep all decoded blocks in RAM; queries read through the store's
-  /// block cache either way).
-  size_t retain_window = 0;
 
   /// Stripes of the shared disjointness-proof cache (1 = one exact global
   /// LRU; more stripes cut contention between query threads).
@@ -207,6 +206,9 @@ struct ServiceStats {
   /// returns Unavailable until the process restarts over a reopened store.
   bool degraded = false;
   uint64_t num_blocks = 0;
+  /// Decoded blocks the miner holds in RAM: the whole chain in in-memory
+  /// mode, only the skip-construction tail with a store.
+  uint64_t resident_blocks = 0;
   uint64_t queries_served = 0;
   uint64_t subscriptions_active = 0;
   /// Events held in the bounded in-memory redelivery log

@@ -216,6 +216,17 @@ class ChainBuilder {
   /// it to QueryProcessor so window lookups are two binary searches.
   const TimestampIndex& timestamp_index() const { return ts_index_; }
 
+  /// Blocks the next BuildSkips may reach back over: the largest configured
+  /// skip distance (1 when no skip list is built — the predecessor is still
+  /// needed for prev_hash and the timestamp monotonicity check). The
+  /// smallest window SetRetainWindow accepts.
+  uint64_t NeededTailBlocks() const {
+    if (config_.mode != IndexMode::kBoth || config_.skiplist_size == 0) {
+      return 1;
+    }
+    return config_.SkipDistance(config_.skiplist_size - 1);
+  }
+
   /// Feed all sealed headers to a light client (Fig 3's header sync).
   /// Pruned heights are served from the attached store's header column.
   Status SyncLightClient(chain::LightClient* client) const {
@@ -231,16 +242,6 @@ class ChainBuilder {
   /// The retained block at absolute chain height `h`.
   const Block<Engine>& At(uint64_t h) const {
     return blocks_[h - base_height_];
-  }
-
-  /// Blocks the next BuildSkips may reach back over: the largest configured
-  /// skip distance (1 when no skip list is built — the predecessor is still
-  /// needed for prev_hash and the timestamp monotonicity check).
-  uint64_t NeededTailBlocks() const {
-    if (config_.mode != IndexMode::kBoth || config_.skiplist_size == 0) {
-      return 1;
-    }
-    return config_.SkipDistance(config_.skiplist_size - 1);
   }
 
   void Prune() {

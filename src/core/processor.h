@@ -156,9 +156,9 @@ class QueryProcessor {
     if (trace) trace->results_matched = resp.objects.size();
 
     {
-      // FlushAggregates' inline proving (the acc2 batch path) deliberately
-      // gets no span of its own: it stays inside the aggregate stage, as it
-      // always has. Its MSM sub-stage does get "msm" child spans.
+      // FlushAggregates' proving (the acc2 batch path) gets "prove" child
+      // spans, which the stage fold moves from aggregate to prove; its
+      // digest MSM gets informational "msm" child spans.
       trace::ScopedSpan s_agg(spans_, "aggregate");
       agg_span_ = s_agg.id();
       FlushAggregates(&agg, tq, &resp.vo);
@@ -205,22 +205,17 @@ class QueryProcessor {
   };
 
   /// Cache-consulting proof with trace attribution. When tracing,
-  /// hit/miss/proved counters are bumped and — for inline proofs during
-  /// the walk (`in_walk`) — a "prove" span nested under the walk span is
-  /// opened, which the stage fold subtracts from match_walk so walk and
-  /// prove stay non-overlapping (FlushAggregates' proving stays
-  /// inside the aggregate stage instead).
+  /// hit/miss/proved counters are bumped and a "prove" span is opened under
+  /// `parent` (the open walk or aggregate span), which the stage fold
+  /// subtracts from that stage so the stages stay non-overlapping.
   Result<typename Engine::Proof> TracedGetOrProve(
       const typename Engine::ObjectDigest& digest, const Multiset& w,
-      const Multiset& clause, bool in_walk) {
+      const Multiset& clause, uint32_t parent) {
     if (trace_ == nullptr) {
       return cache_->GetOrProve(engine_, digest, w, clause);
     }
     bool hit = false;
-    uint32_t sp = 0;
-    if (in_walk) {
-      sp = SpanBegin("prove", walk_span_ != 0 ? walk_span_ : trace::kRootSpan);
-    }
+    uint32_t sp = SpanBegin("prove", parent != 0 ? parent : trace::kRootSpan);
     auto proof = cache_->GetOrProve(engine_, digest, w, clause, &hit);
     SpanEnd(sp);
     if (hit) {
@@ -363,7 +358,7 @@ class QueryProcessor {
         return;
       }
       auto proof =
-          TracedGetOrProve(digest, w, tq.clauses[clause_idx], /*in_walk=*/true);
+          TracedGetOrProve(digest, w, tq.clauses[clause_idx], walk_span_);
       // A failure here would mean the match decision and the accumulator
       // disagree, which the mapped-match relation rules out by construction.
       assert(proof.ok());
@@ -477,7 +472,7 @@ class QueryProcessor {
         deferred_.push_back(DeferredProof{entry.w, entry.digest, clause_idx});
       } else {
         auto proof = TracedGetOrProve(entry.digest, entry.w,
-                                      tq.clauses[clause_idx], /*in_walk=*/true);
+                                      tq.clauses[clause_idx], walk_span_);
         assert(proof.ok());
         svo.proof = proof.TakeValue();
       }
@@ -496,7 +491,7 @@ class QueryProcessor {
         auto digest = engine_.Digest(summed);
         SpanEnd(s_msm);
         auto proof = TracedGetOrProve(digest, summed, tq.clauses[clause_idx],
-                                      /*in_walk=*/false);
+                                      agg_span_);
         assert(proof.ok());
         vo->aggregated.push_back(
             AggregatedProof<Engine>{clause_idx, proof.TakeValue()});

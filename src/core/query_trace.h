@@ -41,9 +41,10 @@ namespace vchain::core {
 ///   setup          validation, keyword mapping, processor setup
 ///   window_lookup  [ts, te] -> height range
 ///   match_walk     block walk: clause matching, mismatch recording, skips
-///   aggregate      summed-multiset digesting (the MSM) + aggregate proving
-///   prove          disjointness proving (inline under the walk, or the
-///                  deferred batch on the pool)
+///   aggregate      summed-multiset digesting (the MSM)
+///   prove          disjointness proving (inline under the walk, the
+///                  aggregated proofs under aggregate, or the deferred
+///                  batch on the pool)
 ///   serialize      canonical VO encoding (api tier)
 inline constexpr std::array<const char*, 6> kQueryStages = {
     "setup", "window_lookup", "match_walk", "aggregate", "prove", "serialize"};

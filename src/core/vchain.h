@@ -50,7 +50,8 @@
 // Durable storage (store/ subsystem): Service manages a BlockStore itself
 // when `store_dir` is set; typed-layer code can do the same wiring by hand —
 // `BlockStore::Open` + `ChainBuilder::AttachStore` (O(1) write-through,
-// `SetRetainWindow` bounds miner RAM) or `ResumeFromStore` after a restart,
+// `SetRetainWindow` bounds miner RAM; Service always keeps only the
+// skip-construction tail) or `ResumeFromStore` after a restart,
 // then serve through a `StoreBlockSource` (single-threaded) or
 // `ConcurrentStoreBlockSource` (many query threads, shared LRU). Cold start
 // rebuilds `TimestampIndex` and re-syncs a `LightClient` straight from the
@@ -72,8 +73,8 @@
 // partitions. `ChainConfig::num_prover_threads` caps how many workers of
 // the process-wide `ThreadPool::Shared()` one query's deferred proofs may
 // occupy (non-aggregating engines only; 1 = fully serial, the default).
-// Engines additionally accept `set_thread_pool(&ThreadPool::Shared())` to
-// window-parallelize their multi-scalar multiplications on the same pool.
+// acc2's honest prover derives its cross-term key powers on the same pool
+// (`KeyOracle::G1Powers`); multi-scalar multiplications stay serial.
 // All parallel paths are bit-identical to their serial counterparts.
 //
 // Cache knobs (SP-local, never consensus): `ChainConfig::proof_cache_capacity`

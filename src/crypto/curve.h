@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "crypto/field.h"
 
 namespace vchain::crypto {
@@ -458,59 +457,6 @@ JacobianPoint<F> MultiScalarMul(const std::vector<AffinePoint<F>>& bases,
     msm_internal::SignedDigits(scalars[i], c, num_windows, n, digits.data() + i);
   }
   return msm_internal::MsmWindowRange(bases, digits, n, c, 0, num_windows);
-}
-
-/// Parallel MultiScalarMul: contiguous window ranges are computed
-/// concurrently on `pool` and Horner-combined. Results are bit-identical to
-/// the serial version. Falls back to serial when `pool` is null or the
-/// problem is too small to amortize scheduling. `max_threads` caps the
-/// concurrency requested from the pool (0 = pool size).
-template <typename F>
-JacobianPoint<F> MultiScalarMul(const std::vector<AffinePoint<F>>& bases,
-                                const std::vector<U256>& scalars,
-                                ThreadPool* pool, size_t max_threads = 0) {
-  using Point = JacobianPoint<F>;
-  size_t n = bases.size();
-  if (pool == nullptr || n < 2) return MultiScalarMul(bases, scalars);
-  assert(bases.size() == scalars.size());
-
-  int max_bits = 0;
-  for (const U256& s : scalars) {
-    int b = s.BitLength();
-    if (b > max_bits) max_bits = b;
-  }
-  if (max_bits == 0) return Point::Infinity();
-
-  int c = msm_internal::ChooseWindowSize(n, max_bits);
-  int num_windows = (max_bits + c - 1) / c + 1;
-  size_t want = max_threads == 0 ? pool->NumWorkers() + 1 : max_threads;
-  size_t num_chunks =
-      std::min({want, static_cast<size_t>(num_windows),
-                static_cast<size_t>(8)});  // diminishing returns past 8
-  if (num_chunks <= 1) return MultiScalarMul(bases, scalars);
-
-  std::vector<int32_t> digits(static_cast<size_t>(num_windows) * n);
-  for (size_t i = 0; i < n; ++i) {
-    msm_internal::SignedDigits(scalars[i], c, num_windows, n, digits.data() + i);
-  }
-  int chunk = (num_windows + static_cast<int>(num_chunks) - 1) /
-              static_cast<int>(num_chunks);
-  std::vector<Point> partials(num_chunks, Point::Infinity());
-  pool->ParallelFor(num_chunks, num_chunks, [&](size_t k) {
-    int lo = static_cast<int>(k) * chunk;
-    int hi = std::min(lo + chunk, num_windows);
-    if (lo < hi) {
-      partials[k] = msm_internal::MsmWindowRange(bases, digits, n, c, lo, hi);
-    }
-  });
-  Point total = Point::Infinity();
-  for (size_t k = num_chunks; k-- > 0;) {
-    if (!total.IsInfinity()) {
-      for (int d = 0; d < c * chunk; ++d) total = total.Double();
-    }
-    total = total.Add(partials[k]);
-  }
-  return total;
 }
 
 }  // namespace vchain::crypto

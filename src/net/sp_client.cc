@@ -117,7 +117,6 @@ Result<HttpResponse> SpClient::Exchange(
 Result<std::unique_ptr<SpClient>> SpClient::Connect(Options options) {
   std::unique_ptr<SpClient> client(new SpClient());
   options.verify.store_dir.clear();  // verifier role: no chain state
-  options.verify.retain_window = 0;
   auto verifier = api::Service::Open(options.verify);
   if (!verifier.ok()) return verifier.status();
   client->verifier_ = verifier.TakeValue();

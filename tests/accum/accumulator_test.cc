@@ -1,8 +1,13 @@
 // Accumulator engine correctness — typed across all four engines
-// (acc1/acc2 x BN254/mock), plus acc2-specific aggregation and the
-// unforgeability game from Definition 8.1 played with tampered proofs.
+// (acc1/acc2 x BN254/mock), plus acc2-specific aggregation, the
+// unforgeability game from Definition 8.1 played with tampered proofs, and
+// the key oracle's batched powers against one-at-a-time test oracles.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "accum/acc1.h"
 #include "accum/acc2.h"
@@ -324,6 +329,143 @@ TEST(KeyOracleTest, FixedBaseMatchesScalarMul) {
     Fr k = Fr::FromU256Reduce(
         crypto::U256(rng.Next(), rng.Next(), rng.Next(), 0));
     EXPECT_TRUE(oracle->CommitG1(k).Equal(crypto::G1Mul(k)));
+  }
+}
+
+TEST(KeyOracleTest, FixedBaseMatchesScalarMulG2) {
+  auto oracle = KeyOracle::Create(/*seed=*/12, SmallParams());
+  Rng rng(13);
+  for (int i = 0; i < 4; ++i) {
+    Fr k = Fr::FromU256Reduce(
+        crypto::U256(rng.Next(), rng.Next(), rng.Next(), rng.Next()));
+    EXPECT_TRUE(oracle->CommitG2(k).Equal(crypto::G2Mul(k)));
+  }
+}
+
+// Test oracles: the one-power-at-a-time code the batched paths replaced.
+namespace ref {
+
+crypto::G1Affine G1Power(const KeyOracle& oracle, uint64_t j) {
+  return oracle.CommitG1(oracle.SecretPow(j)).ToAffine();
+}
+
+/// Acc2Engine::ProveDisjoint's honest path with per-term power derivation.
+Acc2Engine::Proof ProveDisjoint(const Acc2Engine& engine, const Multiset& w,
+                                const Multiset& clause) {
+  auto map = [&](const Multiset& m) {
+    Multiset out;
+    for (const Multiset::Entry& e : m.entries()) {
+      out.Add(engine.MapElement(e.element), e.count);
+    }
+    return out;
+  };
+  Multiset mw = map(w);
+  Multiset mc = map(clause);
+  const uint64_t q = engine.oracle()->params().UniverseSize();
+  std::vector<crypto::G1Affine> bases;
+  std::vector<crypto::U256> scalars;
+  for (const Multiset::Entry& ew : mw.entries()) {
+    for (const Multiset::Entry& ec : mc.entries()) {
+      bases.push_back(G1Power(*engine.oracle(), ew.element + q - ec.element));
+      scalars.push_back(
+          crypto::U256(static_cast<uint64_t>(ew.count) * ec.count));
+    }
+  }
+  return Acc2Engine::Proof{crypto::MultiScalarMul(bases, scalars).ToAffine()};
+}
+
+}  // namespace ref
+
+TEST(KeyOracleTest, BatchPowersMatchOneAtATime) {
+  auto oracle = KeyOracle::Create(/*seed=*/14, SmallParams());
+  const size_t chunk = KeyOracle::kPowerChunk;
+  Rng rng(15);
+  for (size_t n : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1,
+                   4 * chunk + 3}) {
+    std::vector<uint64_t> exponents;
+    for (size_t i = 0; i < n; ++i) {
+      // Every third exponent repeats an earlier one (or is 0/1 edge cases).
+      if (i % 3 == 2) {
+        exponents.push_back(exponents[rng.Below(i)]);
+      } else {
+        exponents.push_back(i < 2 ? i : rng.Below(2 * 4096));
+      }
+    }
+    std::vector<crypto::G1Affine> got = oracle->G1Powers(exponents);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], ref::G1Power(*oracle, exponents[i]))
+          << "n=" << n << " i=" << i << " j=" << exponents[i];
+    }
+  }
+}
+
+/// A seeded multiset of `distinct` ids with multiplicities in [1, 3], every
+/// mapped id outside `avoid` (mapped ids) and added to it.
+Multiset RandomMappedDisjoint(const Acc2Engine& engine, Rng* rng,
+                              size_t distinct, std::set<uint64_t>* avoid) {
+  Multiset out;
+  while (out.DistinctSize() < distinct) {
+    uint64_t id = rng->Next();
+    if (!avoid->insert(engine.MapElement(id)).second) continue;
+    out.Add(id, static_cast<uint32_t>(1 + rng->Below(3)));
+  }
+  return out;
+}
+
+TEST(Acc2ProveTest, BatchedProofEqualsPerTermOracle) {
+  Acc2Engine engine(KeyOracle::Create(/*seed=*/16, SmallParams()));
+  Rng rng(17);
+  for (int round = 0; round < 12; ++round) {
+    std::set<uint64_t> used;
+    const size_t clause_size = 1 + static_cast<size_t>(round % 6);
+    Multiset clause = RandomMappedDisjoint(engine, &rng, clause_size, &used);
+    Multiset w = RandomMappedDisjoint(
+        engine, &rng, 1 + static_cast<size_t>(rng.Below(12)), &used);
+    auto proof = engine.ProveDisjoint(w, clause);
+    ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+    EXPECT_EQ(proof.value(), ref::ProveDisjoint(engine, w, clause))
+        << "round " << round;
+    EXPECT_TRUE(engine.VerifyDisjoint(engine.Digest(w),
+                                      engine.QueryDigestOf(clause),
+                                      proof.value()));
+  }
+}
+
+// Many provers at once share ThreadPool::Shared(): each ProveDisjoint's
+// chunked power batch nests under the others and still yields the serial
+// oracle's bits.
+TEST(Acc2ProveTest, ConcurrentProversAreBitIdentical) {
+  Acc2Engine engine(KeyOracle::Create(/*seed=*/18, SmallParams()));
+  Rng rng(19);
+  struct Case {
+    Multiset w, clause;
+    Acc2Engine::Proof expect;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 4; ++i) {
+    std::set<uint64_t> used;
+    Case c;
+    c.clause = RandomMappedDisjoint(engine, &rng, 3, &used);
+    c.w = RandomMappedDisjoint(engine, &rng, 8 + 2 * i, &used);
+    c.expect = ref::ProveDisjoint(engine, c.w, c.clause);
+    cases.push_back(std::move(c));
+  }
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < cases.size(); ++k) {
+        const Case& c = cases[(k + t) % cases.size()];
+        auto proof = engine.ProveDisjoint(c.w, c.clause);
+        if (!proof.ok() || !(proof.value() == c.expect)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

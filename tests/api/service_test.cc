@@ -365,6 +365,51 @@ TYPED_TEST(ServiceTest, InMemoryAndDiskServicesServeIdenticalBytes) {
   EXPECT_TRUE(disk.value()->Stats().durable);
 }
 
+// A store-backed miner keeps only the skip-construction tail of decoded
+// blocks; every read past it goes through the store, with the same bytes.
+TYPED_TEST(ServiceTest, StoreBackedServiceKeepsOnlySkipTail) {
+  using Engine = TypeParam;
+  constexpr size_t kBlocks = 64;
+  auto oracle = TestOracle();
+  auto blocks = MakeBlocks(kBlocks, 3, /*seed=*/21, TestConfig().schema);
+  const uint64_t tail =
+      ChainBuilder<Engine>(MakeEngine<Engine>(oracle), TestConfig())
+          .NeededTailBlocks();
+  ASSERT_LT(tail, kBlocks);
+
+  auto mem = Service::Open(BaseOptions<Engine>(oracle));
+  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+  auto disk = Service::Open(BaseOptions<Engine>(oracle, UniqueDir()));
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  AppendAll(mem.value().get(), blocks);
+  AppendAll(disk.value().get(), blocks);
+
+  EXPECT_EQ(mem.value()->Stats().resident_blocks, kBlocks);
+  EXPECT_LE(disk.value()->Stats().resident_blocks, tail);
+  EXPECT_EQ(disk.value()->NumBlocks(), kBlocks);
+
+  auto mem_headers = mem.value()->Headers(0, kBlocks - 1);
+  auto disk_headers = disk.value()->Headers(0, kBlocks - 1);
+  ASSERT_TRUE(mem_headers.ok()) << mem_headers.status().ToString();
+  ASSERT_TRUE(disk_headers.ok()) << disk_headers.status().ToString();
+  ASSERT_EQ(disk_headers.value().size(), kBlocks);
+  for (size_t h = 0; h < kBlocks; ++h) {
+    EXPECT_EQ(disk_headers.value()[h].Hash(), mem_headers.value()[h].Hash())
+        << "height " << h;
+  }
+
+  LightClient light;
+  ASSERT_TRUE(disk.value()->SyncLightClient(&light).ok());
+  for (const Query& q : TestQueries(kBlocks)) {
+    auto a = mem.value()->Query(q);
+    auto b = disk.value()->Query(q);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a.value().response_bytes, b.value().response_bytes);
+    EXPECT_TRUE(disk.value()->Verify(q, b.value(), light).ok());
+  }
+}
+
 TYPED_TEST(ServiceTest, ReopenedDurableServiceResumesChain) {
   using Engine = TypeParam;
   auto oracle = TestOracle();
@@ -480,8 +525,7 @@ TEST(ServiceValidationTest, RejectsStructurallyInvalidQueries) {
 
 TEST(ServiceValidationTest, OpenRejectsInconsistentOptions) {
   ServiceOptions opts = BaseOptions<accum::MockAcc2Engine>(TestOracle());
-  opts.retain_window = 32;  // pruning without a store: older blocks would
-                            // become unreachable
+  opts.engine = static_cast<EngineKind>(0xFF);  // names no engine
   auto svc = Service::Open(std::move(opts));
   ASSERT_FALSE(svc.ok());
   EXPECT_TRUE(svc.status().IsInvalidArgument()) << svc.status().ToString();

@@ -1,16 +1,15 @@
 // Property tests for the batch-affine Pippenger MultiScalarMul: the
-// optimized path (signed digits, simultaneous-inversion bucket reduction,
-// optional window parallelism) must agree with naive per-point ScalarMul
-// summation on every input shape, including the degenerate ones that
-// exercise the affine special cases (duplicate bases -> doublings,
-// base/negated-base pairs -> cancellations, zero scalars).
+// optimized path (signed digits, simultaneous-inversion bucket reduction)
+// must agree with naive per-point ScalarMul summation on every input shape,
+// including the degenerate ones that exercise the affine special cases
+// (duplicate bases -> doublings, base/negated-base pairs -> cancellations,
+// zero scalars).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rand.h"
-#include "common/thread_pool.h"
 #include "crypto/bn254.h"
 #include "crypto/pairing.h"
 
@@ -120,25 +119,6 @@ TEST(MsmTest, G2MatchesNaive) {
   }
   G2 got = MultiScalarMul(bases, scalars);
   EXPECT_TRUE(got.Equal(NaiveMsm(bases, scalars)));
-}
-
-TEST(MsmTest, ParallelVariantIsBitIdenticalToSerial) {
-  Rng rng(106);
-  std::vector<G1Affine> bases;
-  std::vector<U256> scalars;
-  for (size_t i = 0; i < 70; ++i) {
-    bases.push_back(G1Mul(Fr::FromUint64(rng.Next() | 1)).ToAffine());
-    scalars.push_back(RandScalar(&rng));
-  }
-  G1 serial = MultiScalarMul(bases, scalars);
-  G1 parallel = MultiScalarMul(bases, scalars, &ThreadPool::Shared());
-  EXPECT_TRUE(parallel.Equal(serial));
-  // The affine views must be identical bytes.
-  G1Affine sa = serial.ToAffine();
-  G1Affine pa = parallel.ToAffine();
-  EXPECT_EQ(sa, pa);
-  // Null pool degrades to serial.
-  EXPECT_TRUE(MultiScalarMul(bases, scalars, nullptr).Equal(serial));
 }
 
 TEST(MsmTest, BatchInvertMatchesIndividualInverses) {

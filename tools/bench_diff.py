@@ -11,7 +11,9 @@ Every figure/bench driver emits rows of {"op", "n", "median_ns",
 Rows are skipped, never failed, when:
   * the file or the (op, n) row exists on only one side (new/retired ops);
   * the baseline median is below --min-ns (sub-microsecond timings are
-    dominated by jitter, not by the code under test).
+    dominated by jitter, not by the code under test);
+  * both files record a machine (`meta`: nproc, cpu_model) and the machines
+    differ — the whole file is reported as incomparable.
 
 Usage:
   tools/bench_diff.py --baseline bench/results --current /tmp/bench-out
@@ -24,14 +26,16 @@ import pathlib
 import sys
 
 
-def load_rows(path: pathlib.Path):
-    """-> {(op, n): median_ns}; last occurrence of a key wins."""
+def load(path: pathlib.Path):
+    """-> ({(op, n): median_ns}, machine or None); last key wins."""
     with open(path) as f:
         doc = json.load(f)
     rows = {}
     for row in doc.get("rows", []):
         rows[(row["op"], row["n"])] = float(row["median_ns"])
-    return rows
+    meta = doc.get("meta")
+    machine = (meta.get("nproc"), meta.get("cpu_model")) if meta else None
+    return rows, machine
 
 
 def main() -> int:
@@ -65,8 +69,12 @@ def main() -> int:
         if not baseline_path.exists():
             print(f"  [skip] {current_path.name}: no committed baseline")
             continue
-        baseline = load_rows(baseline_path)
-        current = load_rows(current_path)
+        baseline, base_machine = load(baseline_path)
+        current, cur_machine = load(current_path)
+        if base_machine and cur_machine and base_machine != cur_machine:
+            print(f"  [incomparable] {current_path.name}: baseline from "
+                  f"{base_machine}, current from {cur_machine}")
+            continue
         for key in sorted(baseline.keys() & current.keys(),
                           key=lambda k: (str(k[0]), k[1])):
             base_ns, cur_ns = baseline[key], current[key]
