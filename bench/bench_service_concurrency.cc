@@ -84,7 +84,6 @@ void RunEngine(api::EngineKind kind, BenchJson* json) {
   opts.config.schema = schema;
   opts.config.skiplist_size = 3;
   opts.config.block_cache_blocks = 8;  // below the walk: cache churn on
-  opts.proof_cache_shards = 8;
   opts.oracle = SharedOracle();
   opts.prover_mode = ProverMode::kTrustedFast;
   opts.store_dir = dir.string();

@@ -1,13 +1,21 @@
 // Store I/O microbenchmark — append throughput of the durable block store
-// and cold-vs-warm time-window query latency through StoreBlockSource's LRU
-// cache. Emits BENCH_store_io.json for cross-PR tracking.
+// and cold-vs-warm time-window query latency through the store's
+// decoded-block LRU (ConcurrentStoreBlockSource). Emits BENCH_store_io.json
+// for cross-PR tracking.
 //
 //   append-batched : write-through mining, one fsync at the end
 //   append-fsync   : write-through mining, fsync per block
 //   query-mem      : in-memory chain (the pre-store baseline)
 //   query-cold     : reopened store, empty block cache (all misses)
 //   query-warm     : same source again (window resident, all hits)
+//
+// The query rows are medians with p10/p90 over kQueryReps interleaved
+// repetitions; every sample uses a fresh processor (no proof-cache
+// carry-over), every cold sample a freshly reopened store, and the
+// in-memory sample alternates between first and last in its repetition so
+// no variant always pays the process's first-query warm-up.
 
+#include <algorithm>
 #include <filesystem>
 
 #include "harness.h"
@@ -22,6 +30,14 @@ std::string FreshDir(const char* tag) {
              (std::string("vchain_bench_store_") + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
+}
+
+constexpr size_t kQueryReps = 15;
+
+/// Nearest-rank quantile, q in [0, 1].
+double Quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
 }
 
 struct AppendPoint {
@@ -115,46 +131,52 @@ int main() {
   core::Query q = qgen.MakeQuery(profile.default_selectivity,
                                  profile.default_clause_size, t_start, t_end);
 
-  auto run_query = [&](auto& sp) {
+  auto run_query = [&](const store::BlockSource<Acc2Engine>& source) {
+    core::QueryProcessor<Acc2Engine> sp(engine, config, &source);
     Timer t;
     auto resp = sp.TimeWindowQuery(q);
     if (!resp.ok()) std::abort();
-    return t.ElapsedSeconds();
+    return t.ElapsedSeconds() * 1e9;
   };
 
-  // Baseline: fully-resident chain.
-  {
-    store::VectorBlockSource<Acc2Engine> mem_source(&miner.blocks());
-    core::QueryProcessor<Acc2Engine> sp(engine, config, &mem_source,
-                                        &miner.timestamp_index());
-    double s = run_query(sp);
-    std::printf("%-16s %6zu blocks  %10.0f ns\n", "query-mem", window,
-                s * 1e9);
-    json.Add("query-mem", window, s * 1e9, s > 0 ? 1.0 / s : 0);
+  std::vector<double> mem_ns, cold_ns, warm_ns;
+  uint64_t cold_misses = 0, warm_hits = 0;
+  store::VectorBlockSource<Acc2Engine> mem_source(&miner.blocks());
+  for (size_t rep = 0; rep < kQueryReps; ++rep) {
+    const bool mem_first = rep % 2 == 0;
+    // Baseline: fully-resident chain.
+    if (mem_first) mem_ns.push_back(run_query(mem_source));
+    {
+      // Cold: reopened store, empty LRU — every block faults in from disk.
+      auto db2 = store::BlockStore::Open(dir);
+      if (!db2.ok()) std::abort();
+      store::ConcurrentStoreBlockSource<Acc2Engine> disk(
+          engine, db2.value().get(), config.block_cache_blocks);
+      auto handle = disk.MakeHandle();
+      cold_ns.push_back(run_query(handle));
+      cold_misses = disk.cache_stats().misses;
+      // Warm: the window is now resident; the fresh processor isolates the
+      // block-cache effect.
+      warm_ns.push_back(run_query(handle));
+      warm_hits = disk.cache_stats().hits;
+    }
+    if (!mem_first) mem_ns.push_back(run_query(mem_source));
   }
-  // Cold: fresh store handle, empty LRU — every block faults in from disk.
-  {
-    auto db2 = store::BlockStore::Open(dir);
-    if (!db2.ok()) std::abort();
-    core::TimestampIndex ts_index = db2.value()->RebuildTimestampIndex();
-    store::StoreBlockSource<Acc2Engine> source(engine, db2.value().get(),
-                                               config.block_cache_blocks);
-    core::QueryProcessor<Acc2Engine> sp(engine, config, &source, &ts_index);
-    double cold = run_query(sp);
-    std::printf("%-16s %6zu blocks  %10.0f ns  (%llu cache misses)\n",
-                "query-cold", window, cold * 1e9,
-                static_cast<unsigned long long>(source.cache_stats().misses));
-    json.Add("query-cold", window, cold * 1e9, cold > 0 ? 1.0 / cold : 0);
-
-    // Warm: the window is now resident; a fresh processor (no proof cache
-    // carry-over) isolates the block-cache effect.
-    core::QueryProcessor<Acc2Engine> sp2(engine, config, &source, &ts_index);
-    double warm = run_query(sp2);
-    std::printf("%-16s %6zu blocks  %10.0f ns  (%llu cache hits)\n",
-                "query-warm", window, warm * 1e9,
-                static_cast<unsigned long long>(source.cache_stats().hits));
-    json.Add("query-warm", window, warm * 1e9, warm > 0 ? 1.0 / warm : 0);
-  }
+  auto emit = [&](const char* op, const std::vector<double>& ns,
+                  const char* note, uint64_t count) {
+    const double median = Quantile(ns, 0.5);
+    std::printf("%-16s %6zu blocks  %10.0f ns  p10 %10.0f  p90 %10.0f",
+                op, window, median, Quantile(ns, 0.1), Quantile(ns, 0.9));
+    if (note != nullptr) {
+      std::printf("  (%llu %s)", static_cast<unsigned long long>(count), note);
+    }
+    std::printf("\n");
+    json.Add(op, window, median, median > 0 ? 1e9 / median : 0,
+             Quantile(ns, 0.1), Quantile(ns, 0.9));
+  };
+  emit("query-mem", mem_ns, nullptr, 0);
+  emit("query-cold", cold_ns, "cache misses", cold_misses);
+  emit("query-warm", warm_ns, "cache hits", warm_hits);
   std::filesystem::remove_all(dir);
   return 0;
 }

@@ -228,8 +228,7 @@ QueryPoint RunTimeWindowPoint(const ChainBuilder<Engine>& builder,
   if (!st.ok()) std::abort();
   const Engine& engine = builder.engine();
   store::VectorBlockSource<Engine> source(&builder.blocks());
-  core::QueryProcessor<Engine> sp(engine, config, &source,
-                                  &builder.timestamp_index());
+  core::QueryProcessor<Engine> sp(engine, config, &source);
   core::Verifier<Engine> verifier(engine, config, &light);
 
   size_t total = builder.blocks().size();

@@ -2,7 +2,7 @@
 // vchain::Service front door.
 //
 // One Service owns the whole SP stack — miner write-through, durable block
-// store, timestamp index, proof cache, subscriptions — behind a runtime
+// store, proof cache, subscriptions — behind a runtime
 // engine choice. A light node that holds nothing but block headers verifies
 // soundness and completeness of every answer. The service is then torn down
 // and reopened from its store directory and the same query is served again,

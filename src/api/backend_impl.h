@@ -1,8 +1,8 @@
 // ServiceBackend<Engine>: the typed SP stack behind api::Service.
 //
-// Owns, per service: the engine, the chain builder (miner write-through +
-// timestamp index), the optional durable store with its shared decoded-block
-// cache, the shared mutex-striped proof cache, and the subscription manager.
+// Owns, per service: the engine, the chain builder (miner write-through),
+// the optional durable store with its shared decoded-block cache, the shared
+// mutex-striped proof cache, and the subscription manager.
 //
 // Locking model (state_mu_, a shared_mutex):
 //   * Query takes a *shared* lock: any number run concurrently. Each query
@@ -12,8 +12,8 @@
 //     synchronized. The block-source view is frozen at the admission-time
 //     tip, so a later append can never shift a window mid-walk.
 //   * Append / Subscribe / Unsubscribe / EventsSince / Sync take the
-//     *exclusive* lock: they mutate the chain vectors, the timestamp index,
-//     the store, or the event log that queries and stats read.
+//     *exclusive* lock: they mutate the chain vectors, the store's header
+//     column, or the event log that queries and stats read.
 //
 // Determinism: everything a query emits is a pure function of (chain,
 // query, engine); caches only decide what gets recomputed. Concurrent runs
@@ -71,8 +71,8 @@ class ServiceBackend final : public IServiceBackend {
       if (!store.ok()) return store.status();
       b->store_ = store.TakeValue();
       if (b->store_->NumBlocks() > 0) {
-        // Resume the persisted chain: headers + timestamp index from the
-        // store, only the skip-construction tail decoded back into RAM.
+        // Resume the persisted chain: headers stay in the store, only the
+        // skip-construction tail is decoded back into RAM.
         auto resumed = core::ChainBuilder<Engine>::ResumeFromStore(
             b->engine_, opts.config, b->store_.get());
         if (!resumed.ok()) return resumed.status();
@@ -166,13 +166,11 @@ class ServiceBackend final : public IServiceBackend {
     if (disk_source_ != nullptr) {
       auto handle = disk_source_->MakeHandle(store_->NumBlocks());
       core::QueryProcessor<Engine> sp(engine_, options_.config, &handle,
-                                      &builder_->timestamp_index(),
                                       &proof_cache_);
       return Finish(sp.TimeWindowQuery(q, trace), trace);
     }
     store::VectorBlockSource<Engine> source(&builder_->blocks());
     core::QueryProcessor<Engine> sp(engine_, options_.config, &source,
-                                    &builder_->timestamp_index(),
                                     &proof_cache_);
     return Finish(sp.TimeWindowQuery(q, trace), trace);
   }
@@ -358,11 +356,15 @@ class ServiceBackend final : public IServiceBackend {
   const ServiceOptions& options() const override { return options_; }
 
  private:
+  /// Stripes of the shared disjointness-proof cache: enough that query
+  /// threads rarely collide on one lock (core/proof_cache.h).
+  static constexpr size_t kProofCacheShards = 16;
+
   ServiceBackend(ServiceOptions options, Engine engine)
       : options_(std::move(options)),
         engine_(std::move(engine)),
         proof_cache_(options_.config.proof_cache_capacity,
-                     options_.proof_cache_shards),
+                     kProofCacheShards),
         subs_(engine_, options_.config, {}) {}
 
   /// Rebuild subscription state from the latest valid checkpoint slot, then

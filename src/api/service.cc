@@ -129,7 +129,6 @@ bool EngineKindFromName(std::string_view name, EngineKind* out) {
 }
 
 Result<std::unique_ptr<Service>> Service::Open(ServiceOptions options) {
-  if (options.proof_cache_shards == 0) options.proof_cache_shards = 1;
   std::shared_ptr<accum::KeyOracle> oracle =
       options.oracle != nullptr
           ? options.oracle
@@ -514,8 +513,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendStringField(&out, "store_dir", o.store_dir, defaults.store_dir,
                     &first);
-  AppendField(&out, "proof_cache_shards", o.proof_cache_shards,
-              defaults.proof_cache_shards, &first);
   AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,
                   defaults.sub_checkpoints, &first);
   AppendField(&out, "sub_checkpoint_interval_blocks",
@@ -542,8 +539,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendField(&out, "pow_difficulty_bits", c.pow.difficulty_bits,
               cdef.pow.difficulty_bits, &first);
-  AppendField(&out, "num_prover_threads", c.num_prover_threads,
-              cdef.num_prover_threads, &first);
   AppendField(&out, "proof_cache_capacity", c.proof_cache_capacity,
               cdef.proof_cache_capacity, &first);
   AppendField(&out, "block_cache_blocks", c.block_cache_blocks,

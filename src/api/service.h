@@ -6,9 +6,8 @@
 // boundary: callers had to pick an accumulator at *compile time* and wire
 // five templates together by hand. Service erases the engine behind a
 // runtime `EngineKind` and owns the whole SP stack — block store (or
-// in-memory chain), miner write-through, timestamp index, shared
-// disjointness-proof cache, decoded-block cache, subscription manager — so
-// a deployment is:
+// in-memory chain), miner write-through, shared disjointness-proof cache,
+// decoded-block cache, subscription manager — so a deployment is:
 //
 //   api::ServiceOptions opts;
 //   opts.engine = api::EngineKind::kAcc2;          // runtime choice
@@ -90,8 +89,8 @@ struct ServiceOptions {
   EngineKind engine = EngineKind::kAcc2;
 
   /// Chain-wide consensus parameters (index mode, schema, skip list) plus
-  /// the SP-local tuning knobs (num_prover_threads, proof_cache_capacity,
-  /// block_cache_blocks) they carry.
+  /// the SP-local tuning knobs (proof_cache_capacity, block_cache_blocks)
+  /// they carry.
   core::ChainConfig config;
 
   /// Trusted setup. Pass a shared oracle to make several services (or a
@@ -110,10 +109,6 @@ struct ServiceOptions {
   /// regeneration read through the store's decoded-block cache.
   std::string store_dir;
   store::BlockStore::Options store_options;
-
-  /// Stripes of the shared disjointness-proof cache (1 = one exact global
-  /// LRU; more stripes cut contention between query threads).
-  size_t proof_cache_shards = 16;
 
   /// Persist subscription state (registered queries + ids, drain cursor,
   /// pending lazy runs) as CRC-framed alternating slot files in `store_dir`,

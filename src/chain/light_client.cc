@@ -1,6 +1,6 @@
 #include "chain/light_client.h"
 
-#include <algorithm>
+#include "chain/window.h"
 
 namespace vchain::chain {
 
@@ -26,17 +26,9 @@ Status LightClient::SyncHeader(const BlockHeader& header) {
 
 std::optional<std::pair<uint64_t, uint64_t>> LightClient::HeightRangeForWindow(
     uint64_t ts, uint64_t te) const {
-  if (headers_.empty() || ts > te) return std::nullopt;
-  auto lo = std::lower_bound(
-      headers_.begin(), headers_.end(), ts,
-      [](const BlockHeader& h, uint64_t t) { return h.timestamp < t; });
-  if (lo == headers_.end() || lo->timestamp > te) return std::nullopt;
-  auto hi = std::upper_bound(
-      headers_.begin(), headers_.end(), te,
-      [](uint64_t t, const BlockHeader& h) { return t < h.timestamp; });
-  uint64_t first = static_cast<uint64_t>(lo - headers_.begin());
-  uint64_t last = static_cast<uint64_t>(hi - headers_.begin()) - 1;
-  return std::make_pair(first, last);
+  return chain::HeightRangeForWindow(
+      headers_.size(),
+      [this](uint64_t h) { return headers_[h].timestamp; }, ts, te);
 }
 
 }  // namespace vchain::chain

@@ -36,7 +36,8 @@ class LightClient {
   const std::vector<BlockHeader>& headers() const { return headers_; }
 
   /// Heights whose block timestamp lies in [ts, te]; nullopt when empty.
-  /// (Query windows resolve at block granularity, §3.)
+  /// (Query windows resolve at block granularity, §3.) The same lookup the
+  /// SP runs (chain/window.h), so both sides agree on every window.
   std::optional<std::pair<uint64_t, uint64_t>> HeightRangeForWindow(
       uint64_t ts, uint64_t te) const;
 

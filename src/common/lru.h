@@ -1,6 +1,6 @@
 // Bounded LRU map shared by the SP-side caches (disjointness proofs in
-// core/proof_cache.h, decoded blocks in store/block_source.h) so both keep
-// one eviction/bookkeeping implementation.
+// core/proof_cache.h, decoded blocks in store/concurrent_block_source.h) so
+// both keep one eviction/bookkeeping implementation.
 //
 // Semantics: `Get` refreshes recency and counts a hit or miss; `Put` inserts
 // (or refreshes an existing key) without touching hit/miss counters and
@@ -8,8 +8,7 @@
 // Get/Put stay valid until the pointed-to entry is evicted or the map is
 // cleared (node-based storage — no rehash/reallocation invalidation).
 //
-// NOT thread-safe, by design: every current user is documented
-// single-threaded (see the ROADMAP open item on a concurrent SP).
+// NOT thread-safe, by design: both users hold their own mutex around it.
 
 #ifndef VCHAIN_COMMON_LRU_H_
 #define VCHAIN_COMMON_LRU_H_

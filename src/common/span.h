@@ -9,12 +9,13 @@
 // slow-query warn log, the X-Vchain-Trace header, and GET /debug/traces all
 // read the same single measurement.
 //
-// Concurrency: a tree is written by the query thread and, during deferred
-// proving, by pool workers (prove_task spans), so every method takes the
-// tree's mutex. The lock is uncontended in the common case (one writer)
-// and each operation is a few stores — tens of nanoseconds against
-// milliseconds of proving (the ≤3% overhead bound is asserted by
-// bench_query_stages' traced-vs-untraced column).
+// Concurrency: a tree is written by the one thread serving its request, but
+// finished trees are shared (the trace ring behind GET /debug/traces reads
+// them from HTTP workers), so every method takes the tree's mutex. The lock
+// is uncontended in the common case (one writer) and each operation is a
+// few stores — tens of nanoseconds against milliseconds of proving (the ≤3%
+// overhead bound is asserted by bench_query_stages' traced-vs-untraced
+// column).
 //
 // Span names and note keys must be string literals (static storage): spans
 // store the pointer, never a copy, which keeps Begin/End allocation-free

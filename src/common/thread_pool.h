@@ -1,5 +1,5 @@
-// Fixed-size worker pool shared by the SP-side parallel passes (deferred
-// disjointness proofs, acc2's chunked key-power batches, QueryBatch).
+// Fixed-size worker pool shared by the SP-side parallel passes (acc2's
+// chunked key-power batches, QueryBatch).
 //
 // Design goals, in order: no per-query thread construction, deadlock-freedom
 // under nesting, and deterministic results for callers (the pool only
@@ -81,8 +81,8 @@ class ThreadPool {
     });
   }
 
-  /// The process-wide pool shared by every query processor and the key
-  /// oracle's power batches; sized to the hardware once, on first use.
+  /// The process-wide pool shared by QueryBatch and the key oracle's power
+  /// batches; sized to the hardware once, on first use.
   static ThreadPool& Shared() {
     static ThreadPool pool(DefaultParallelism());
     return pool;

@@ -56,18 +56,13 @@ struct ChainConfig {
   /// gives a maximum jump of 64 (Appendix D.3).
   uint32_t skiplist_size = 5;
   chain::PowConfig pow;
-  /// SP-side proof workers. With >1, non-aggregating engines defer the
-  /// disjointness proofs discovered during a window walk and resolve the
-  /// deduplicated set on a thread pool (the paper's SP used 24 OpenMP
-  /// hyperthreads; multi-core scaling is also its §10 future work).
-  uint32_t num_prover_threads = 1;
   /// SP-local tuning (not consensus): max proofs resident in a processor's
   /// or subscription manager's disjointness-proof cache before LRU eviction
   /// kicks in; 0 = unbounded. Long-lived subscription SPs prove against an
   /// ever-growing digest set, so leave this finite in production.
   size_t proof_cache_capacity = 1u << 16;
-  /// SP-local tuning (not consensus): decoded blocks a disk-backed
-  /// BlockSource keeps resident (store/block_source.h). Size to the hot
+  /// SP-local tuning (not consensus): decoded blocks the disk-backed block
+  /// cache keeps resident (store/concurrent_block_source.h). Size to the hot
   /// query window; the chain itself may be arbitrarily larger than RAM.
   size_t block_cache_blocks = 256;
 

@@ -12,8 +12,9 @@
 // single digest — only the skip-construction tail window is decoded back
 // into memory. With a store attached, `SetRetainWindow` bounds the miner's
 // resident blocks to that tail, so the *chain* can outgrow RAM while the
-// miner keeps a fixed footprint (headers and the timestamp column stay
-// resident; they are bytes per block, not kilobytes).
+// miner keeps a fixed footprint (the store's header column stays resident;
+// it is bytes per block, not kilobytes). The builder never owns the store:
+// keep it alive while the builder mines or syncs light clients.
 
 #ifndef VCHAIN_CORE_CHAIN_BUILDER_H_
 #define VCHAIN_CORE_CHAIN_BUILDER_H_
@@ -25,7 +26,6 @@
 #include "chain/light_client.h"
 #include "common/timer.h"
 #include "core/block.h"
-#include "core/timestamp_index.h"
 #include "store/block_serde.h"
 
 namespace vchain::core {
@@ -43,8 +43,8 @@ class ChainBuilder {
       : engine_(std::move(engine)), config_(std::move(config)) {}
 
   /// Reopen a persisted chain and continue mining from its tip. Decodes only
-  /// the tail window skip construction needs; headers and the timestamp
-  /// index are rebuilt from the store's resident header column.
+  /// the tail window skip construction needs; pruned headers are served from
+  /// the store's resident header column.
   static Result<ChainBuilder> ResumeFromStore(Engine engine, ChainConfig config,
                                               store::BlockStore* store) {
     ChainBuilder builder(std::move(engine), std::move(config));
@@ -56,7 +56,6 @@ class ChainBuilder {
       if (!block.ok()) return block.status();
       builder.blocks_.push_back(block.TakeValue());
     }
-    builder.ts_index_ = store->RebuildTimestampIndex();
     builder.store_ = store;
     return builder;
   }
@@ -85,18 +84,6 @@ class ChainBuilder {
     return Status::OK();
   }
 
-  /// Stop writing through (e.g. before the store object's lifetime ends —
-  /// the builder never owns it). Refused while pruning is active: pruned
-  /// heights are only reachable through the store.
-  Status DetachStore() {
-    if (retain_window_ != 0 || base_height_ != 0) {
-      return Status::InvalidArgument(
-          "cannot detach: pruned heights live only in the store");
-    }
-    store_ = nullptr;
-    return Status::OK();
-  }
-
   /// Bound the in-memory window to the last `retain` blocks (0 = keep all).
   /// Requires an attached store (older blocks remain reachable there) and at
   /// least the skip-construction tail.
@@ -105,7 +92,7 @@ class ChainBuilder {
   /// index i is height `base_height() + i` — do not wrap it in a
   /// VectorBlockSource (its height range would silently start at the
   /// window, not genesis). Serve queries from the attached store through a
-  /// StoreBlockSource instead.
+  /// ConcurrentStoreBlockSource handle instead.
   Status SetRetainWindow(size_t retain) {
     if (retain != 0) {
       if (store_ == nullptr) {
@@ -195,7 +182,6 @@ class ChainBuilder {
       VCHAIN_RETURN_IF_ERROR(
           store::AppendBlockToStore(engine_, block, store_));
     }
-    ts_index_.Append(block.header.timestamp);
     blocks_.push_back(std::move(block));
     Prune();
     return stats;
@@ -212,9 +198,6 @@ class ChainBuilder {
   const store::BlockStore* attached_store() const { return store_; }
   const Engine& engine() const { return engine_; }
   const ChainConfig& config() const { return config_; }
-  /// Sorted timestamp -> height index maintained alongside the chain; feed
-  /// it to QueryProcessor so window lookups are two binary searches.
-  const TimestampIndex& timestamp_index() const { return ts_index_; }
 
   /// Blocks the next BuildSkips may reach back over: the largest configured
   /// skip distance (1 when no skip list is built — the predecessor is still
@@ -303,7 +286,6 @@ class ChainBuilder {
   Engine engine_;
   ChainConfig config_;
   std::vector<Block<Engine>> blocks_;
-  TimestampIndex ts_index_;
   store::BlockStore* store_ = nullptr;
   uint64_t base_height_ = 0;
   size_t retain_window_ = 0;  // 0 = retain everything

@@ -14,13 +14,14 @@
 // emitted instead of per-node proofs.
 //
 // Hot-path structure (see ROADMAP.md "Performance architecture"):
-//   * window lookup is two binary searches (TimestampIndex when provided,
-//     else directly over the monotonic block timestamps);
+//   * window lookup is two binary searches over the source's resident
+//     header timestamps — chain::HeightRangeForWindow, the same function
+//     the light client runs, so no block is faulted in;
 //   * each node multiset is mapped through the engine once and probed
 //     against every clause from that mapping;
-//   * non-aggregating engines with num_prover_threads > 1 defer proofs and
-//     resolve the deduplicated, cache-missing set on the process-wide
-//     ThreadPool::Shared() — no threads are constructed per query;
+//   * every disjointness proof is computed inline through the cache
+//     (acc2's honest prover spreads its key powers over
+//     ThreadPool::Shared() itself);
 //   * disjointness proofs are cached across queries; pass a shared
 //     ProofCache to pool hits across processors serving the same chain.
 //     The cache is internally synchronized (mutex-striped), so processors
@@ -38,13 +39,12 @@
 #include <utility>
 #include <vector>
 
+#include "chain/window.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "core/chain_builder.h"
 #include "core/proof_cache.h"
 #include "core/query.h"
 #include "core/query_trace.h"
-#include "core/timestamp_index.h"
 #include "core/vo.h"
 #include "store/block_source.h"
 
@@ -54,17 +54,14 @@ template <typename Engine>
 class QueryProcessor {
  public:
   /// Serve from any BlockSource — an in-memory chain or a disk-backed store
-  /// (store/block_source.h). `ts_index` (optional) is the builder- or
-  /// store-maintained timestamp index; `shared_cache` (optional) substitutes
-  /// an external cross-processor proof cache for the internal one.
+  /// (store/block_source.h). `shared_cache` (optional) substitutes an
+  /// external cross-processor proof cache for the internal one.
   QueryProcessor(const Engine& engine, const ChainConfig& config,
                  const store::BlockSource<Engine>* source,
-                 const TimestampIndex* ts_index = nullptr,
                  ProofCache<Engine>* shared_cache = nullptr)
       : engine_(engine),
         config_(config),
         source_(source),
-        ts_index_(ts_index),
         own_cache_(config.proof_cache_capacity),
         cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {}
 
@@ -99,7 +96,10 @@ class QueryProcessor {
 
     QueryResponse<Engine> resp;
     uint32_t s_window = SpanBegin("window_lookup");
-    auto range = FindHeightRange(q.time_start, q.time_end);
+    auto range = chain::HeightRangeForWindow(
+        source_->NumBlocks(),
+        [this](uint64_t h) { return source_->TimestampAt(h); }, q.time_start,
+        q.time_end);
     SpanEnd(s_window);
     if (!range) {
       return FinishTrace(std::move(resp));  // empty window: nothing to prove
@@ -164,7 +164,6 @@ class QueryProcessor {
       FlushAggregates(&agg, tq, &resp.vo);
       agg_span_ = 0;
     }
-    ResolveDeferredProofs(tq, &resp.vo);
     return FinishTrace(std::move(resp));
   }
 
@@ -197,13 +196,6 @@ class QueryProcessor {
     std::map<uint32_t, Multiset> pending;
   };
 
-  /// A proof postponed for the parallel resolution pass.
-  struct DeferredProof {
-    Multiset w;
-    typename Engine::ObjectDigest digest;
-    uint32_t clause_idx;
-  };
-
   /// Cache-consulting proof with trace attribution. When tracing,
   /// hit/miss/proved counters are bumped and a "prove" span is opened under
   /// `parent` (the open walk or aggregate span), which the stage fold
@@ -225,43 +217,6 @@ class QueryProcessor {
       ++trace_->proofs_computed;
     }
     return proof;
-  }
-
-  std::optional<std::pair<uint64_t, uint64_t>> FindHeightRange(
-      uint64_t ts, uint64_t te) const {
-    if (ts_index_ != nullptr) {
-      // The index may momentarily trail the block source (miner appending
-      // while we serve); fall through to the direct search in that case.
-      if (ts_index_->size() == source_->NumBlocks()) {
-        return ts_index_->HeightRange(ts, te);
-      }
-    }
-    // Timestamps are monotonic by construction, so binary-search the source
-    // directly: first height with t >= ts, last with t <= te. TimestampAt is
-    // a resident-header read in every source — no block is faulted in.
-    if (ts > te || source_->NumBlocks() == 0) return std::nullopt;
-    auto ts_of = [this](uint64_t h) { return source_->TimestampAt(h); };
-    uint64_t lo = 0, hi = source_->NumBlocks();
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (ts_of(mid) < ts) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    uint64_t first = lo;
-    hi = source_->NumBlocks();
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (ts_of(mid) <= te) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (first == lo) return std::nullopt;
-    return std::make_pair(first, lo - 1);
   }
 
   typename WindowVO<Engine>::Step ProcessBlock(const Block<Engine>& block,
@@ -351,99 +306,12 @@ class QueryProcessor {
       if (!inserted) it->second.SumInPlace(w);
       // proof omitted: covered by the per-clause aggregated proof
     } else {
-      if (config_.num_prover_threads > 1) {
-        // Defer: the proof is resolved on the worker pool after the walk;
-        // the node is findable because VO nodes are only appended.
-        deferred_.push_back(DeferredProof{w, digest, clause_idx});
-        return;
-      }
       auto proof =
           TracedGetOrProve(digest, w, tq.clauses[clause_idx], walk_span_);
       // A failure here would mean the match decision and the accumulator
       // disagree, which the mapped-match relation rules out by construction.
       assert(proof.ok());
       node->proof = proof.TakeValue();
-    }
-  }
-
-  /// Compute all deferred proofs on the shared worker pool (deduplicated and
-  /// cache-filtered), then install them into the VO in discovery order.
-  /// Proofs are deterministic, so the resulting bytes are identical to the
-  /// single-threaded path.
-  void ResolveDeferredProofs(const TransformedQuery& tq, WindowVO<Engine>* vo) {
-    if constexpr (!Engine::kSupportsAggregation) {
-      if (deferred_.empty()) return;
-      // The whole resolution pass — dedup, pool proving, install-back — is
-      // the "prove" stage; each pool job adds a "prove_task" child span
-      // (from a worker thread; the tree is internally synchronized).
-      trace::ScopedSpan prove_span(spans_, "prove");
-      const uint32_t prove_id =
-          prove_span.id() != 0 ? prove_span.id() : trace::kRootSpan;
-      // Deduplicate under the cache key H(digest | clause) and resolve
-      // cache hits up front; only genuinely new proofs hit the pool.
-      using Key = typename ProofCache<Engine>::Key;
-      struct Job {
-        const DeferredProof* d;
-        typename Engine::Proof proof;
-        bool cached = false;
-      };
-      std::map<Key, size_t> unique;  // -> job index
-      std::vector<Job> jobs;
-      std::vector<size_t> job_of_deferred(deferred_.size());
-      std::vector<size_t> to_compute;
-      for (size_t i = 0; i < deferred_.size(); ++i) {
-        Key key = ProofCache<Engine>::KeyFor(engine_, deferred_[i].digest,
-                                             tq.clauses[deferred_[i].clause_idx]);
-        auto [it, inserted] = unique.try_emplace(key, jobs.size());
-        if (inserted) {
-          Job job;
-          job.d = &deferred_[i];
-          if (cache_->Lookup(key, &job.proof)) {
-            job.cached = true;
-            if (trace_) ++trace_->proof_cache_hits;
-          } else {
-            to_compute.push_back(jobs.size());
-            if (trace_) ++trace_->proof_cache_misses;
-          }
-          jobs.push_back(std::move(job));
-        }
-        job_of_deferred[i] = it->second;
-      }
-      if (trace_) trace_->proofs_computed += to_compute.size();
-      ThreadPool::Shared().ParallelFor(
-          to_compute.size(), config_.num_prover_threads, [&](size_t k) {
-            trace::ScopedSpan task(spans_, "prove_task", prove_id);
-            Job& job = jobs[to_compute[k]];
-            auto proof = engine_.ProveDisjoint(
-                job.d->w, tq.clauses[job.d->clause_idx]);
-            assert(proof.ok());
-            job.proof = proof.TakeValue();
-          });
-      // Publish fresh proofs to the cross-query cache.
-      for (auto& [key, idx] : unique) {
-        if (!jobs[idx].cached) cache_->Insert(key, jobs[idx].proof);
-      }
-      // Install proofs back into mismatch nodes in walk order.
-      size_t cursor = 0;
-      for (auto& step : vo->steps) {
-        if (!std::holds_alternative<BlockVO<Engine>>(step)) {
-          auto& svo = std::get<SkipVO<Engine>>(step);
-          if (!svo.proof.has_value()) {
-            svo.proof = jobs[job_of_deferred[cursor++]].proof;
-          }
-          continue;
-        }
-        for (VoNode<Engine>& n : std::get<BlockVO<Engine>>(step).nodes) {
-          if (n.kind == VoKind::kMismatch && !n.proof.has_value()) {
-            n.proof = jobs[job_of_deferred[cursor++]].proof;
-          }
-        }
-      }
-      assert(cursor == deferred_.size());
-      deferred_.clear();
-    } else {
-      (void)tq;
-      (void)vo;
     }
   }
 
@@ -468,14 +336,10 @@ class QueryProcessor {
       auto [it, inserted] = agg->pending.try_emplace(clause_idx, entry.w);
       if (!inserted) it->second.SumInPlace(entry.w);
     } else {
-      if (config_.num_prover_threads > 1) {
-        deferred_.push_back(DeferredProof{entry.w, entry.digest, clause_idx});
-      } else {
-        auto proof = TracedGetOrProve(entry.digest, entry.w,
-                                      tq.clauses[clause_idx], walk_span_);
-        assert(proof.ok());
-        svo.proof = proof.TakeValue();
-      }
+      auto proof = TracedGetOrProve(entry.digest, entry.w,
+                                    tq.clauses[clause_idx], walk_span_);
+      assert(proof.ok());
+      svo.proof = proof.TakeValue();
     }
     return svo;
   }
@@ -506,10 +370,8 @@ class QueryProcessor {
   const Engine& engine_;
   const ChainConfig& config_;
   const store::BlockSource<Engine>* source_;
-  const TimestampIndex* ts_index_;
   ProofCache<Engine> own_cache_;
   ProofCache<Engine>* cache_;
-  std::vector<DeferredProof> deferred_;
   std::vector<uint64_t> mapped_w_;  // per-node mapping scratch
   QueryTrace* trace_ = nullptr;     // non-null only inside a traced call
   trace::SpanTree* spans_ = nullptr;  // trace_'s tree; same lifetime

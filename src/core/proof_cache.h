@@ -16,10 +16,13 @@
 // from many threads concurrently (the concurrent-SP shape of api::Service).
 // Internally it is mutex-striped: keys are partitioned over `shards`
 // independently-locked LRU maps, so concurrent queries only contend when
-// their keys collide on a shard. With `shards == 1` (the default) the cache
-// is one exact global LRU; with more shards each shard LRU-bounds its own
-// partition (total resident proofs stay within capacity + shards - 1), which
-// is the right trade for a cache hammered by many query threads. Proofs are
+// their keys collide on a shard. With `shards == 1` (the default, used by a
+// standalone processor or subscription manager) the cache is one exact
+// global LRU; with more shards each shard LRU-bounds its own partition
+// (total resident proofs stay within capacity + shards - 1), which is the
+// right trade for a cache hammered by many query threads (api::Service's
+// shared cache has a fixed 16). GetOrProve is the only way in: a lookup
+// and its insert always pair with the proof they describe. Proofs are
 // deterministic, so cache behavior — including two threads racing to prove
 // the same key — can never change a proof, digest, or VO byte; it only
 // affects how often ProveDisjoint runs.
@@ -58,23 +61,13 @@ class ProofCache {
     capacity_ = capacity;
   }
 
-  /// Canonical cache key for a (digest, clause) pair — H(digest | clause).
-  /// Public so batch passes can key their own dedup maps consistently.
-  static Key KeyFor(const Engine& engine,
-                    const typename Engine::ObjectDigest& digest,
-                    const accum::Multiset& clause) {
-    ByteWriter w;
-    engine.SerializeDigest(digest, &w);
-    clause.Serialize(&w);
-    return crypto::Sha256Digest(ByteSpan(w.bytes().data(), w.bytes().size()));
-  }
-
   /// Returns the cached or freshly-computed proof for (w, clause); forwards
   /// ProveDisjoint errors (i.e. the sets intersect). The proof itself is
   /// computed outside any lock — a miss never serializes other threads
-  /// behind a multiexp. `was_hit` (optional) reports whether the proof came
-  /// from the cache — per-call attribution the aggregated stats() cannot
-  /// give a tracing caller.
+  /// behind a multiexp; two threads racing on one key both prove it and the
+  /// second Put keeps the first entry. `was_hit` (optional) reports whether
+  /// the proof came from the cache — per-call attribution the aggregated
+  /// stats() cannot give a tracing caller.
   Result<typename Engine::Proof> GetOrProve(
       const Engine& engine, const typename Engine::ObjectDigest& digest,
       const accum::Multiset& w, const accum::Multiset& clause,
@@ -95,28 +88,6 @@ class ProofCache {
       shard.map.Put(key, proof.value());
     }
     return proof;
-  }
-
-  /// Lookup without computing (used by the deferred-proof batch pass to
-  /// skip already-proven jobs before they are dispatched to the pool).
-  /// Copies the proof into `*out` — under concurrency a pointer into the
-  /// map could be evicted by another thread's insert before the caller
-  /// dereferences it.
-  bool Lookup(const Key& key, typename Engine::Proof* out) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const typename Engine::Proof* hit = shard.map.Get(key);
-    if (hit == nullptr) return false;
-    *out = *hit;
-    return true;
-  }
-
-  /// Install a proof computed out-of-band (e.g. on the worker pool),
-  /// evicting the shard's least-recently-used entry when at capacity.
-  void Insert(const Key& key, const typename Engine::Proof& proof) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.Put(key, proof);
   }
 
   /// Aggregated hit/miss/eviction counters across all shards (a consistent
@@ -153,6 +124,16 @@ class ProofCache {
   }
 
  private:
+  /// Canonical cache key for a (digest, clause) pair — H(digest | clause).
+  static Key KeyFor(const Engine& engine,
+                    const typename Engine::ObjectDigest& digest,
+                    const accum::Multiset& clause) {
+    ByteWriter w;
+    engine.SerializeDigest(digest, &w);
+    clause.Serialize(&w);
+    return crypto::Sha256Digest(ByteSpan(w.bytes().data(), w.bytes().size()));
+  }
+
   struct KeyHasher {
     size_t operator()(const Key& k) const {
       size_t out;

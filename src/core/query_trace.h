@@ -42,9 +42,8 @@ namespace vchain::core {
 ///   window_lookup  [ts, te] -> height range
 ///   match_walk     block walk: clause matching, mismatch recording, skips
 ///   aggregate      summed-multiset digesting (the MSM)
-///   prove          disjointness proving (inline under the walk, the
-///                  aggregated proofs under aggregate, or the deferred
-///                  batch on the pool)
+///   prove          disjointness proving (inline under the walk, or the
+///                  aggregated proofs under aggregate)
 ///   serialize      canonical VO encoding (api tier)
 inline constexpr std::array<const char*, 6> kQueryStages = {
     "setup", "window_lookup", "match_walk", "aggregate", "prove", "serialize"};
@@ -81,7 +80,7 @@ inline int QueryStageIndex(const char* name) {
 /// One pass over `tree` under its lock. A stage's time is the summed
 /// duration of its spans minus the stage spans nested under them (nearest
 /// stage ancestor; e.g. inline prove under match_walk), clamped at 0. Spans
-/// of unlisted names (msm, block_read, prove_task) are subtracted from
+/// of unlisted names (msm, block_read) are subtracted from
 /// nothing; msm is summed on its own. A span the tree dropped at kMaxSpans
 /// was never recorded, so its time stays inside its would-be parent.
 inline StageTimes FoldStages(const trace::SpanTree& tree) {

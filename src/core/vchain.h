@@ -2,7 +2,7 @@
 //
 // First contact: vchain::Service (src/api/service.h) — the SP's front door.
 // One object owns the whole stack (miner write-through, durable block store,
-// timestamp index, shared proof cache, subscriptions) behind a *runtime*
+// shared proof cache, subscriptions) behind a *runtime*
 // engine choice, serves queries from any number of threads, and returns the
 // library-wide Status taxonomy (see examples/quickstart.cpp):
 //
@@ -40,9 +40,8 @@
 //   accum::Acc2Engine engine(oracle);
 //   core::ChainBuilder<accum::Acc2Engine> miner(engine, config);
 //   miner.AppendBlock(objects, timestamp);          // miner builds the ADS
-//   core::QueryProcessor<accum::Acc2Engine> sp(engine, config,
-//                                              &miner.blocks(),
-//                                              &miner.timestamp_index());
+//   store::VectorBlockSource<accum::Acc2Engine> source(&miner.blocks());
+//   core::QueryProcessor<accum::Acc2Engine> sp(engine, config, &source);
 //   auto resp = sp.TimeWindowQuery(q);              // SP: <R, VO>
 //   core::Verifier<accum::Acc2Engine> verifier(engine, config, &light);
 //   Status ok2 = verifier.VerifyTimeWindow(q, resp.value());
@@ -52,10 +51,10 @@
 // `BlockStore::Open` + `ChainBuilder::AttachStore` (O(1) write-through,
 // `SetRetainWindow` bounds miner RAM; Service always keeps only the
 // skip-construction tail) or `ResumeFromStore` after a restart,
-// then serve through a `StoreBlockSource` (single-threaded) or
-// `ConcurrentStoreBlockSource` (many query threads, shared LRU). Cold start
-// rebuilds `TimestampIndex` and re-syncs a `LightClient` straight from the
-// store — no re-mining.
+// then serve through `ConcurrentStoreBlockSource::MakeHandle()` (one shared
+// LRU, one handle per reader). Cold start re-syncs a `LightClient` straight
+// from the store's resident headers — no re-mining; window lookups read the
+// same headers (chain/window.h).
 //
 // Subscription queries live in sub/subscription.h; Service exposes the
 // realtime scheme (Subscribe/EventsSince/VerifyNotification),
@@ -68,18 +67,17 @@
 // synced and re-validated locally, nothing trusted past the socket (see
 // examples/vchain_spd.cpp and examples/sp_query.cpp, or `README.md`).
 //
-// Concurrency knobs. `ServiceOptions::proof_cache_shards` stripes the
-// shared disjointness-proof cache across independently-locked LRU
-// partitions. `ChainConfig::num_prover_threads` caps how many workers of
-// the process-wide `ThreadPool::Shared()` one query's deferred proofs may
-// occupy (non-aggregating engines only; 1 = fully serial, the default).
-// acc2's honest prover derives its cross-term key powers on the same pool
-// (`KeyOracle::G1Powers`); multi-scalar multiplications stay serial.
-// All parallel paths are bit-identical to their serial counterparts.
+// Concurrency has no knobs. Service's shared disjointness-proof cache is
+// striped over a fixed 16 independently-locked LRU partitions. Every proof
+// is computed inline on the query thread; acc2's honest prover derives its
+// cross-term key powers on the process-wide `ThreadPool::Shared()`
+// (`KeyOracle::G1Powers`), and QueryBatch fans queries out on the same
+// pool; multi-scalar multiplications stay serial. All parallel paths are
+// bit-identical to their serial counterparts.
 //
 // Cache knobs (SP-local, never consensus): `ChainConfig::proof_cache_capacity`
 // LRU-bounds the disjointness-proof cache; `ChainConfig::block_cache_blocks`
-// sizes the decoded-block cache of either store-backed source.
+// sizes the store-backed decoded-block cache.
 
 #ifndef VCHAIN_CORE_VCHAIN_H_
 #define VCHAIN_CORE_VCHAIN_H_

@@ -6,35 +6,26 @@
 //
 //   * VectorBlockSource — zero-cost adapter over an in-memory chain
 //     (ChainBuilder::blocks()); behavior identical to the old code path.
-//   * StoreBlockSource  — blocks decoded on demand from a BlockStore through
-//     an LRU cache, so the SP serves chains far larger than RAM while hot
-//     query windows stay memory-resident.
+//   * ConcurrentStoreBlockSource::Handle (store/concurrent_block_source.h)
+//     — blocks decoded on demand from a BlockStore through one shared LRU,
+//     so the SP serves chains far larger than RAM while hot query windows
+//     stay memory-resident; each query (or test) takes its own handle.
 //
 // Reference contract: the Block& returned by BlockAt stays valid until the
-// next BlockAt call on the same source (the store-backed source may evict on
-// a later miss). Every consumer in this codebase holds at most the current
-// block across other work, which the query walk's one-block-at-a-time
-// structure guarantees.
+// next BlockAt call on the same source (a store handle pins only the block
+// it last returned). Every consumer in this codebase holds at most the
+// current block across other work, which the query walk's
+// one-block-at-a-time structure guarantees.
 //
-// TimestampAt exists so height-range lookups never fault a cold block in:
-// the store keeps all headers resident, so timestamp probes are pure memory
-// reads in both implementations.
-//
-// Both sources here are single-threaded (one query walk at a time). Many
-// query threads sharing one disk-backed cache use
-// store/concurrent_block_source.h, which vends per-query handles over a
-// shared, locked LRU of shared_ptr-owned blocks.
+// TimestampAt exists so window lookups (chain/window.h) never fault a cold
+// block in: the store keeps all headers resident, so timestamp probes are
+// pure memory reads in both implementations.
 
 #ifndef VCHAIN_STORE_BLOCK_SOURCE_H_
 #define VCHAIN_STORE_BLOCK_SOURCE_H_
 
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "common/lru.h"
-#include "common/span.h"
 #include "store/block_serde.h"
 
 namespace vchain::store {
@@ -55,7 +46,7 @@ class BlockSource {
 /// In-memory chain adapter (the pre-store behavior, verbatim). The vector
 /// must start at genesis — a pruned ChainBuilder's `blocks()` window does
 /// NOT qualify (its indices are offset by `base_height()`); serve a pruned
-/// chain from its attached store via StoreBlockSource instead.
+/// chain from its attached store via a ConcurrentStoreBlockSource handle.
 template <typename Engine>
 class VectorBlockSource final : public BlockSource<Engine> {
  public:
@@ -72,67 +63,6 @@ class VectorBlockSource final : public BlockSource<Engine> {
 
  private:
   const std::vector<core::Block<Engine>>* blocks_;
-};
-
-/// Disk-backed source: BlockStore reads + decoded-block LRU cache.
-template <typename Engine>
-class StoreBlockSource final : public BlockSource<Engine> {
- public:
-  using CacheStats = LruStats;
-
-  /// `capacity` bounds the number of decoded blocks held in memory (>= 1).
-  /// Size it to the expected hot window: a subscription SP wants at least
-  /// the max skip distance, an analytics SP the typical query window.
-  StoreBlockSource(const Engine& engine, const BlockStore* store,
-                   size_t capacity = kDefaultCacheBlocks)
-      : engine_(engine), store_(store), cache_(capacity < 1 ? 1 : capacity) {}
-
-  static constexpr size_t kDefaultCacheBlocks = 256;
-
-  uint64_t NumBlocks() const override { return store_->NumBlocks(); }
-
-  uint64_t TimestampAt(uint64_t height) const override {
-    return store_->HeaderAt(height).timestamp;
-  }
-
-  const core::Block<Engine>& BlockAt(uint64_t height) const override {
-    auto block = TryBlockAt(height);
-    if (!block.ok()) {
-      // The store verified CRCs and the header chain at open; failing here
-      // means the disk mutated underneath a live SP. No graceful answer
-      // exists at this interface — fail loudly rather than serve garbage.
-      std::fprintf(stderr, "StoreBlockSource: block %llu unreadable: %s\n",
-                   static_cast<unsigned long long>(height),
-                   block.status().ToString().c_str());
-      std::abort();
-    }
-    return *block.value();
-  }
-
-  /// Status-returning variant for callers that can surface I/O errors.
-  Result<const core::Block<Engine>*> TryBlockAt(uint64_t height) const {
-    if (const core::Block<Engine>* hit = cache_.Get(height)) {
-      return hit;
-    }
-    // Cache miss = real store read + decode; attach it to the walk span of
-    // whatever query is ambiently tracing on this thread (no-op otherwise).
-    const trace::AmbientSpan amb = trace::CurrentSpan();
-    trace::ScopedSpan read_span(amb.tree, "block_read",
-                                amb.parent != 0 ? amb.parent : trace::kRootSpan);
-    read_span.Note("height", height);
-    auto block = ReadBlockFromStore(engine_, *store_, height);
-    if (!block.ok()) return block.status();
-    return cache_.Put(height, block.TakeValue());
-  }
-
-  const CacheStats& cache_stats() const { return cache_.stats(); }
-  size_t cached_blocks() const { return cache_.size(); }
-  size_t capacity() const { return cache_.capacity(); }
-
- private:
-  const Engine& engine_;
-  const BlockStore* store_;
-  mutable LruMap<uint64_t, core::Block<Engine>> cache_;
 };
 
 }  // namespace vchain::store

@@ -3,12 +3,13 @@
 //
 // The store is engine-agnostic: each record is the block's canonical
 // 104-byte header followed by an opaque, engine-encoded body (see
-// store/block_serde.h for the typed encoding and store/block_source.h for
-// the typed read path with its LRU cache). Keeping the header first means
+// store/block_serde.h for the typed encoding and
+// store/concurrent_block_source.h for the typed read path with its LRU
+// cache). Keeping the header first means
 // the store can authenticate itself at open time — height sequence,
 // prev-hash linkage, timestamp monotonicity — without knowing the
-// accumulator engine, and can serve cold-start needs (timestamp index
-// rebuild, light-client re-sync) from headers alone.
+// accumulator engine, and can serve cold-start needs (window lookups,
+// light-client re-sync) from headers alone.
 //
 // Layout:   <dir>/seg-000000.log, <dir>/seg-000001.log, ...
 // A segment rolls over once it exceeds `Options::segment_target_bytes`, so
@@ -33,7 +34,6 @@
 
 #include "chain/header.h"
 #include "chain/light_client.h"
-#include "core/timestamp_index.h"
 #include "store/segment_log.h"
 
 namespace vchain::store {
@@ -100,13 +100,6 @@ class BlockStore {
   bool broken() const { return broken_; }
 
   // --- cold start ------------------------------------------------------------
-
-  /// Rebuild the miner/SP timestamp index from the persisted headers.
-  core::TimestampIndex RebuildTimestampIndex() const {
-    core::TimestampIndex idx;
-    for (const chain::BlockHeader& h : headers_) idx.Append(h.timestamp);
-    return idx;
-  }
 
   /// Feed all persisted headers to a light client (same contract as
   /// ChainBuilder::SyncLightClient, but from disk — no re-mining).

@@ -1,12 +1,12 @@
-// Thread-safe disk-backed block reads for the concurrent SP.
+// Disk-backed block reads: the one decoded-block cache over a BlockStore.
 //
-// StoreBlockSource (block_source.h) is single-threaded by design: its LRU
-// returns references whose lifetime ends at the next eviction, which is
-// exactly wrong once several query threads share one cache — thread A's hot
-// reference dies when thread B faults a cold block in.
-//
-// ConcurrentStoreBlockSource solves this with a shared, mutex-protected LRU
-// of *shared_ptr*-owned decoded blocks plus cheap per-query Handles:
+// A plain LRU of blocks returns references whose lifetime ends at the next
+// eviction, which is exactly wrong once several query threads share one
+// cache — thread A's hot reference dies when thread B faults a cold block
+// in. ConcurrentStoreBlockSource is a shared, mutex-protected LRU of
+// *shared_ptr*-owned decoded blocks plus cheap per-query Handles; a
+// single-threaded reader (a test, a bench, a cold-start tool) takes one
+// handle and uses it like any other BlockSource:
 //
 //   * the shared cache bounds total decoded blocks across all threads
 //     (eviction drops the cache's reference; a block stays alive for any
@@ -44,6 +44,7 @@
 #include <utility>
 
 #include "common/lru.h"
+#include "common/span.h"
 #include "store/block_source.h"
 
 namespace vchain::store {
@@ -55,10 +56,13 @@ class ConcurrentStoreBlockSource {
   using CacheStats = LruStats;
 
   /// `capacity` bounds decoded blocks resident in the shared cache (>= 1).
+  /// Size it to the expected hot window: a subscription SP wants at least
+  /// the max skip distance, an analytics SP the typical query window.
   ConcurrentStoreBlockSource(const Engine& engine, const BlockStore* store,
-                             size_t capacity =
-                                 StoreBlockSource<Engine>::kDefaultCacheBlocks)
+                             size_t capacity = kDefaultCacheBlocks)
       : engine_(engine), store_(store), cache_(capacity < 1 ? 1 : capacity) {}
+
+  static constexpr size_t kDefaultCacheBlocks = 256;
 
   ConcurrentStoreBlockSource(const ConcurrentStoreBlockSource&) = delete;
   ConcurrentStoreBlockSource& operator=(const ConcurrentStoreBlockSource&) =
@@ -83,9 +87,10 @@ class ConcurrentStoreBlockSource {
     const core::Block<Engine>& BlockAt(uint64_t height) const override {
       auto block = parent_->Fetch(height);
       if (!block.ok()) {
-        // Same contract as StoreBlockSource::BlockAt: the store verified
-        // CRCs and the header chain at open, so an unreadable block here
-        // means the disk mutated underneath a live SP — fail loudly.
+        // The store verified CRCs and the header chain at open, so an
+        // unreadable block here means the disk mutated underneath a live
+        // SP. No graceful answer exists at this interface — fail loudly
+        // rather than serve garbage.
         std::fprintf(stderr,
                      "ConcurrentStoreBlockSource: block %llu unreadable: %s\n",
                      static_cast<unsigned long long>(height),

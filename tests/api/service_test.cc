@@ -186,8 +186,7 @@ std::vector<Bytes> SerialReference(const std::shared_ptr<KeyOracle>& oracle,
     EXPECT_TRUE(st.ok()) << st.status().ToString();
   }
   store::VectorBlockSource<Engine> source(&builder.blocks());
-  QueryProcessor<Engine> sp(engine, config, &source,
-                            &builder.timestamp_index());
+  QueryProcessor<Engine> sp(engine, config, &source);
   std::vector<Bytes> out;
   for (const Query& q : queries) {
     auto resp = sp.TimeWindowQuery(q);
@@ -222,7 +221,6 @@ TYPED_TEST(ServiceTest, ConcurrentDiskQueriesBitIdenticalToSerialProcessor) {
       SerialReference<Engine>(oracle, blocks, queries);
 
   ServiceOptions opts = BaseOptions<Engine>(oracle, UniqueDir());
-  opts.proof_cache_shards = 4;
   opts.config.block_cache_blocks = 4;  // far below the walk: force churn
   auto svc = Service::Open(std::move(opts));
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
@@ -299,7 +297,6 @@ TYPED_TEST(ServiceTest, QueriesStayDeterministicUnderConcurrentAppends) {
       SerialReference<Engine>(oracle, first, queries);
 
   ServiceOptions opts = BaseOptions<Engine>(oracle, UniqueDir());
-  opts.proof_cache_shards = 2;
   opts.config.block_cache_blocks = 3;
   auto svc = Service::Open(std::move(opts));
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();

@@ -1,8 +1,10 @@
-// Unit tests for the common layer: Status/Result, hex, serde, PRNG, timer.
+// Unit tests for the common layer: Status/Result, hex, serde, PRNG, timer,
+// LRU map.
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/lru.h"
 #include "common/rand.h"
 #include "common/serde.h"
 #include "common/status.h"
@@ -191,6 +193,22 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GT(acc.seconds(), 0.5);
   acc.Reset();
   EXPECT_EQ(acc.seconds(), 0.0);
+}
+
+// Two threads racing on one proof-cache key both prove it and both Put: the
+// second Put must refresh the entry, not grow the map or replace the value.
+TEST(LruMapTest, RePutRefreshesWithoutGrowth) {
+  LruMap<int, int> lru(/*capacity=*/2);
+  lru.Put(1, 10);
+  lru.Put(2, 20);
+  EXPECT_EQ(*lru.Put(1, 11), 10);  // keeps the resident value
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.stats().evictions, 0u);
+  lru.Put(3, 30);  // the re-Put made 1 most recent, so 2 is evicted
+  EXPECT_EQ(lru.stats().evictions, 1u);
+  EXPECT_EQ(lru.Get(2), nullptr);
+  ASSERT_NE(lru.Get(1), nullptr);
+  EXPECT_EQ(*lru.Get(1), 10);
 }
 
 }  // namespace

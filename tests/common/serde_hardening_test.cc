@@ -68,8 +68,7 @@ struct Corpus {
 
     // A response exercising matches, mismatch proofs, skips, aggregation.
     store::VectorBlockSource<Engine> source(&miner.blocks());
-    QueryProcessor<Engine> sp(engine, config, &source,
-                              &miner.timestamp_index());
+    QueryProcessor<Engine> sp(engine, config, &source);
     Query q;
     q.time_start = kBaseTime;
     q.time_end = kBaseTime + 9 * kTimeStep;

@@ -2,8 +2,7 @@
 // context, the kMaxSpans drop path, JSON shape, the stage fold
 // (core::FoldStages) on hand-built trees, and TraceRing retention (sampled
 // FIFO + always-keep-slowest). The TSan CI job runs the concurrent-writers
-// case — the tree is written by the query thread and pool workers at once
-// during deferred proving.
+// case — the tree's mutex must keep several writing threads safe.
 
 #include "common/span.h"
 
@@ -92,10 +91,10 @@ void ExpectSameStages(const StageTimes& got, const StageTimes& want) {
   EXPECT_EQ(got.total_ns, want.total_ns);
 }
 
-// Every nesting the query path produces: inline prove under the walk
-// (subtracted from it), deferred prove under the root with prove_task
-// children (subtracted from nothing), msm under aggregate and block_read
-// under the walk (both left inside their parent).
+// Every nesting the stage fold handles: inline prove under the walk
+// (subtracted from it), a prove under the root with children of an unlisted
+// name (subtracted from nothing), msm under aggregate and block_read under
+// the walk (both left inside their parent).
 TEST(StageFoldTest, MatchesProjectionOnFullQueryShape) {
   SpanTree t("query");
   const uint32_t setup = Leaf(&t, "setup", kRootSpan, 20);
@@ -301,8 +300,8 @@ TEST(SpanTreeTest, AmbientContextIsPerThread) {
   EXPECT_EQ(seen, nullptr);  // the other thread saw no ambient context
 }
 
-// The deferred-prove shape: pool workers attach prove_task spans to one
-// shared tree while the query thread is also writing. TSan-checked in CI.
+// Several threads attach spans to one shared tree while the owning thread
+// is also writing: the tree's mutex keeps it consistent. TSan-checked in CI.
 TEST(SpanTreeTest, ConcurrentWritersAreSafe) {
   SpanTree t("query");
   uint32_t prove = t.Begin("prove");
@@ -313,7 +312,7 @@ TEST(SpanTreeTest, ConcurrentWritersAreSafe) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&t, prove] {
       for (int i = 0; i < kSpansEach; ++i) {
-        ScopedSpan task(&t, "prove_task", prove);
+        ScopedSpan task(&t, "task", prove);
         task.Note("iter", static_cast<uint64_t>(i));
       }
     });
@@ -325,7 +324,7 @@ TEST(SpanTreeTest, ConcurrentWritersAreSafe) {
   EXPECT_EQ(t.NumSpans(), 2u + kThreads * kSpansEach);
   EXPECT_EQ(t.DroppedSpans(), 0u);
   for (const Span& s : Copy(t)) {
-    if (std::string(s.name) == "prove_task") {
+    if (std::string(s.name) == "task") {
       EXPECT_EQ(s.parent, prove);
     }
   }

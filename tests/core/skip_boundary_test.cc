@@ -59,8 +59,7 @@ template <typename Engine>
 void RunBoundaryCases() {
   Fixture<Engine> fx;
   store::VectorBlockSource<Engine> source(&fx.miner->blocks());
-  QueryProcessor<Engine> sp(fx.engine, fx.cfg, &source,
-                            &fx.miner->timestamp_index());
+  QueryProcessor<Engine> sp(fx.engine, fx.cfg, &source);
   Verifier<Engine> verifier(fx.engine, fx.cfg, &fx.light);
 
   // Case 1: skip lands exactly on the window start. Window [8, 12]: block 12

@@ -1,6 +1,6 @@
 // Durable block store + BlockSource: a chain persisted to disk serves
 // bit-identical query results and VO bytes after a full process restart
-// (fresh BlockStore::Open, rebuilt TimestampIndex, re-synced LightClient),
+// (fresh BlockStore::Open, re-synced LightClient),
 // mining resumes from the tip without recomputing digests, and a pruned
 // miner keeps a bounded in-memory window while the on-disk chain grows.
 
@@ -145,27 +145,26 @@ TYPED_TEST(BlockStoreTest, ReopenedStoreServesIdenticalVoBytes) {
   LightClient light;
   ASSERT_TRUE(miner.SyncLightClient(&light).ok());
   store::VectorBlockSource<Engine> mem_source(&miner.blocks());
-  QueryProcessor<Engine> mem_sp(engine, config, &mem_source,
-                                &miner.timestamp_index());
+  QueryProcessor<Engine> mem_sp(engine, config, &mem_source);
   Query q = CarQuery(kBaseTime + 2 * kTimeStep, kBaseTime + 10 * kTimeStep);
   auto mem_resp = mem_sp.TimeWindowQuery(q);
   ASSERT_TRUE(mem_resp.ok());
 
-  // Cold start: reopen, rebuild indexes, sync a fresh light client from
-  // disk, and serve through the LRU'd StoreBlockSource.
+  // Cold start: reopen, sync a fresh light client from disk, and serve
+  // through a handle on the LRU'd store source.
   BlockStore::RecoveryStats stats;
   auto db = BlockStore::Open(dir, BlockStore::Options{}, &stats);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ(stats.blocks, 12u);
   EXPECT_EQ(stats.truncated_bytes, 0u);
-  core::TimestampIndex ts_index = db.value()->RebuildTimestampIndex();
   LightClient cold_light;
   ASSERT_TRUE(db.value()->SyncLightClient(&cold_light).ok());
   EXPECT_EQ(cold_light.Height(), 12u);
 
-  StoreBlockSource<Engine> source(engine, db.value().get(),
-                                  /*capacity=*/4);
-  QueryProcessor<Engine> disk_sp(engine, config, &source, &ts_index);
+  ConcurrentStoreBlockSource<Engine> source(engine, db.value().get(),
+                                            /*capacity=*/4);
+  auto handle = source.MakeHandle();
+  QueryProcessor<Engine> disk_sp(engine, config, &handle);
   auto disk_resp = disk_sp.TimeWindowQuery(q);
   ASSERT_TRUE(disk_resp.ok());
 
@@ -257,12 +256,11 @@ TYPED_TEST(BlockStoreTest, PrunedMinerKeepsBoundedWindow) {
 
   // The full chain stays queryable through the store even though the miner
   // only retains a 16-block tail.
-  core::TimestampIndex ts_index = db.value()->RebuildTimestampIndex();
-  StoreBlockSource<Engine> source(engine, db.value().get(), 8);
-  QueryProcessor<Engine> disk_sp(engine, config, &source, &ts_index);
+  ConcurrentStoreBlockSource<Engine> disk(engine, db.value().get(), 8);
+  auto source = disk.MakeHandle();
+  QueryProcessor<Engine> disk_sp(engine, config, &source);
   store::VectorBlockSource<Engine> mem_source(&reference.blocks());
-  QueryProcessor<Engine> mem_sp(engine, config, &mem_source,
-                                &reference.timestamp_index());
+  QueryProcessor<Engine> mem_sp(engine, config, &mem_source);
   Query q = CarQuery(kBaseTime, kBaseTime + 29 * kTimeStep);
   auto disk_resp = disk_sp.TimeWindowQuery(q);
   auto mem_resp = mem_sp.TimeWindowQuery(q);
@@ -314,19 +312,21 @@ TEST(BlockStoreSourceTest, LruCacheCountsHitsMissesEvictions) {
   ASSERT_TRUE(miner.AttachStore(db.value().get()).ok());
   Mine(&miner, 6, 2, /*seed=*/5, 0);
 
-  StoreBlockSource<Engine> source(engine, db.value().get(), /*capacity=*/2);
-  (void)source.BlockAt(0);  // miss
-  (void)source.BlockAt(1);  // miss
-  (void)source.BlockAt(0);  // hit
-  (void)source.BlockAt(2);  // miss, evicts 1 (LRU)
-  (void)source.BlockAt(1);  // miss again
+  ConcurrentStoreBlockSource<Engine> source(engine, db.value().get(),
+                                            /*capacity=*/2);
+  auto handle = source.MakeHandle();
+  (void)handle.BlockAt(0);  // miss
+  (void)handle.BlockAt(1);  // miss
+  (void)handle.BlockAt(0);  // hit
+  (void)handle.BlockAt(2);  // miss, evicts 1 (LRU)
+  (void)handle.BlockAt(1);  // miss again
   EXPECT_EQ(source.cache_stats().hits, 1u);
   EXPECT_EQ(source.cache_stats().misses, 4u);
   EXPECT_EQ(source.cache_stats().evictions, 2u);
   EXPECT_EQ(source.cached_blocks(), 2u);
   // Timestamp probes never fault blocks in.
   uint64_t before = source.cache_stats().misses;
-  EXPECT_EQ(source.TimestampAt(5), kBaseTime + 5 * kTimeStep);
+  EXPECT_EQ(handle.TimestampAt(5), kBaseTime + 5 * kTimeStep);
   EXPECT_EQ(source.cache_stats().misses, before);
 }
 
@@ -344,7 +344,9 @@ TEST(BlockStoreSourceTest, SubscriptionDrainAndMhtBaselineFromStore) {
   ASSERT_TRUE(miner.AttachStore(db.value().get()).ok());
   Mine(&miner, 8, 3, /*seed=*/9, 0);
 
-  StoreBlockSource<Engine> source(engine, db.value().get(), /*capacity=*/2);
+  ConcurrentStoreBlockSource<Engine> disk(engine, db.value().get(),
+                                          /*capacity=*/2);
+  auto source = disk.MakeHandle();
 
   sub::SubscriptionManager<Engine> subs(engine, config, {});
   Query q;

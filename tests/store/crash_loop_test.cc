@@ -187,12 +187,11 @@ TYPED_TEST(CrashLoopTest, RecoversToCleanDurablePrefixEveryCycle) {
     // a window query over the recovered prefix returns bit-identical
     // response bytes to the in-memory reference.
     if (recovered >= 3 && (cycle % 7 == 0 || cycle + 1 == kCycles)) {
-      core::TimestampIndex ts_index = db.value()->RebuildTimestampIndex();
-      StoreBlockSource<Engine> source(engine, db.value().get(), 4);
-      QueryProcessor<Engine> disk_sp(engine, config, &source, &ts_index);
+      ConcurrentStoreBlockSource<Engine> disk(engine, db.value().get(), 4);
+      auto source = disk.MakeHandle();
+      QueryProcessor<Engine> disk_sp(engine, config, &source);
       store::VectorBlockSource<Engine> mem_source(&ref.blocks());
-      QueryProcessor<Engine> mem_sp(engine, config, &mem_source,
-                                    &ref.timestamp_index());
+      QueryProcessor<Engine> mem_sp(engine, config, &mem_source);
       Query q;
       q.time_start = kBaseTime;
       q.time_end = kBaseTime + (recovered - 1) * kTimeStep;

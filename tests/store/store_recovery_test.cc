@@ -143,12 +143,11 @@ TEST(StoreRecoveryTest, TornTailRecoveryPreservesCommittedPrefixExactly) {
 
   // A window query over the surviving prefix returns bit-identical result
   // and VO bytes to the in-memory chain.
-  core::TimestampIndex ts_index = db.value()->RebuildTimestampIndex();
-  StoreBlockSource<Engine> source(engine, db.value().get(), 4);
-  QueryProcessor<Engine> disk_sp(engine, config, &source, &ts_index);
+  ConcurrentStoreBlockSource<Engine> disk(engine, db.value().get(), 4);
+  auto source = disk.MakeHandle();
+  QueryProcessor<Engine> disk_sp(engine, config, &source);
   store::VectorBlockSource<Engine> mem_source(&miner.blocks());
-  QueryProcessor<Engine> mem_sp(engine, config, &mem_source,
-                                &miner.timestamp_index());
+  QueryProcessor<Engine> mem_sp(engine, config, &mem_source);
   Query q;
   q.time_start = kBaseTime;
   q.time_end = kBaseTime + (kBlocks - 2) * kTimeStep;
