@@ -42,12 +42,6 @@ double Median(std::vector<double>* samples) {
   return (*samples)[samples->size() / 2];
 }
 
-/// Nearest-rank quantile, q in [0, 1].
-double Quantile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
-}
-
 /// Row names: "total", each core::kQueryStages entry, then "msm".
 std::vector<std::string> RowNames() {
   std::vector<std::string> names = {"total"};

@@ -15,7 +15,6 @@
 // in-memory sample alternates between first and last in its repetition so
 // no variant always pays the process's first-query warm-up.
 
-#include <algorithm>
 #include <filesystem>
 
 #include "harness.h"
@@ -33,12 +32,6 @@ std::string FreshDir(const char* tag) {
 }
 
 constexpr size_t kQueryReps = 15;
-
-/// Nearest-rank quantile, q in [0, 1].
-double Quantile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
-}
 
 struct AppendPoint {
   double seconds = 0;

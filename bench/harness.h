@@ -10,6 +10,7 @@
 #ifndef VCHAIN_BENCH_HARNESS_H_
 #define VCHAIN_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +125,13 @@ class BenchJson {
   std::string path_;
   std::vector<std::string> rows_;
 };
+
+/// Nearest-rank quantile, q in [0, 1]; the rule behind every repeated
+/// row's median and p10/p90.
+inline double Quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+}
 
 struct Scale {
   size_t objects_per_block = 8;

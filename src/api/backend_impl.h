@@ -1,8 +1,9 @@
 // ServiceBackend<Engine>: the typed SP stack behind api::Service.
 //
 // Owns, per service: the engine, the chain builder (miner write-through),
-// the optional durable store with its shared decoded-block cache, the shared
-// mutex-striped proof cache, and the subscription manager.
+// the optional durable store with its shared decoded-block cache, the
+// mutex-striped proof cache that queries and the subscription drain share,
+// and the subscription manager.
 //
 // Locking model (state_mu_, a shared_mutex):
 //   * Query takes a *shared* lock: any number run concurrently. Each query
@@ -92,7 +93,7 @@ class ServiceBackend final : public IServiceBackend {
               b->engine_, b->store_.get(), opts.config.block_cache_blocks);
     }
     b->sub_next_height_ = b->builder_->NumBlocks();
-    if (b->store_ != nullptr && opts.sub_checkpoints) {
+    if (b->store_ != nullptr) {
       store::Env* env = opts.store_options.env != nullptr
                             ? opts.store_options.env
                             : store::Env::Default();
@@ -356,16 +357,17 @@ class ServiceBackend final : public IServiceBackend {
   const ServiceOptions& options() const override { return options_; }
 
  private:
-  /// Stripes of the shared disjointness-proof cache: enough that query
-  /// threads rarely collide on one lock (core/proof_cache.h).
+  /// Stripes of the disjointness-proof cache that queries and the
+  /// subscription drain share: enough that query threads rarely collide on
+  /// one lock (core/proof_cache.h).
   static constexpr size_t kProofCacheShards = 16;
 
   ServiceBackend(ServiceOptions options, Engine engine)
       : options_(std::move(options)),
         engine_(std::move(engine)),
-        proof_cache_(options_.config.proof_cache_capacity,
+        proof_cache_(core::ProofCache<Engine>::kDefaultCapacity,
                      kProofCacheShards),
-        subs_(engine_, options_.config, {}) {}
+        subs_(engine_, options_.config, {}, &proof_cache_) {}
 
   /// Rebuild subscription state from the latest valid checkpoint slot, then
   /// catch up on blocks mined while the SP was down (their notifications are
@@ -517,8 +519,7 @@ class ServiceBackend final : public IServiceBackend {
         // Bound the redelivery log; trimmed events are regenerated on
         // demand by EventsSince (memory stays O(capacity) no matter how
         // far a slow consumer falls behind).
-        while (options_.sub_event_log_capacity != 0 &&
-               event_log_.size() > options_.sub_event_log_capacity) {
+        while (event_log_.size() > kSubEventLogCapacity) {
           event_log_.pop_front();
           ++log_start_seq_;
         }
@@ -561,11 +562,11 @@ class ServiceBackend final : public IServiceBackend {
   /// Bounded redelivery log: every drained event, oldest first. Events are
   /// assigned monotonically increasing sequence numbers; the front of the
   /// deque holds seq `log_start_seq_`. Capacity-trimmed at append
-  /// (ServiceOptions::sub_event_log_capacity); EventsSince regenerates
+  /// (kSubEventLogCapacity); EventsSince regenerates
   /// anything trimmed away by re-matching the block.
   std::deque<SubscriptionEvent> event_log_;
   uint64_t log_start_seq_ = 0;
-  std::unique_ptr<sub::CheckpointSlots> ckpt_;  // null unless durable + on
+  std::unique_ptr<sub::CheckpointSlots> ckpt_;  // null in in-memory mode
   uint64_t ckpt_height_ = 0;  ///< drain cursor at the last checkpoint write
 
   bool degraded_ = false;  ///< storage write fault -> read-only

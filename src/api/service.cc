@@ -165,7 +165,7 @@ Result<std::unique_ptr<Service>> Service::Open(ServiceOptions options) {
 Service::Service(std::unique_ptr<IServiceBackend> backend)
     : backend_(std::move(backend)) {
   const ServiceOptions& opts = backend_->options();
-  ring_ = std::make_unique<trace::TraceRing>(opts.trace_ring_capacity,
+  ring_ = std::make_unique<trace::TraceRing>(kTraceRingCapacity,
                                              opts.trace_sample_every);
   // Register the canary families up front (visible at 0) even when the
   // canary is off, so dashboards see an explicit "all clear", not absence.
@@ -513,16 +513,10 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendStringField(&out, "store_dir", o.store_dir, defaults.store_dir,
                     &first);
-  AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,
-                  defaults.sub_checkpoints, &first);
   AppendField(&out, "sub_checkpoint_interval_blocks",
               o.sub_checkpoint_interval_blocks,
               defaults.sub_checkpoint_interval_blocks, &first);
-  AppendField(&out, "sub_event_log_capacity", o.sub_event_log_capacity,
-              defaults.sub_event_log_capacity, &first);
   AppendBoolField(&out, "tracing", o.tracing, defaults.tracing, &first);
-  AppendField(&out, "trace_ring_capacity", o.trace_ring_capacity,
-              defaults.trace_ring_capacity, &first);
   AppendField(&out, "trace_sample_every", o.trace_sample_every,
               defaults.trace_sample_every, &first);
   AppendField(&out, "canary_sample_every", o.canary_sample_every,
@@ -539,8 +533,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendField(&out, "pow_difficulty_bits", c.pow.difficulty_bits,
               cdef.pow.difficulty_bits, &first);
-  AppendField(&out, "proof_cache_capacity", c.proof_cache_capacity,
-              cdef.proof_cache_capacity, &first);
   AppendField(&out, "block_cache_blocks", c.block_cache_blocks,
               cdef.block_cache_blocks, &first);
   out.append("}}");

@@ -84,13 +84,21 @@ const char* EngineKindName(EngineKind kind);
 /// names no engine. The wire layer and CLI flags parse engines with this.
 bool EngineKindFromName(std::string_view name, EngineKind* out);
 
+/// Buffered subscription events retained for redelivery (EventsSince). A
+/// subscriber whose cursor falls behind gets its events regenerated by
+/// re-matching the mined blocks — same bytes, higher cost — so memory stays
+/// bounded no matter how slow a consumer is.
+inline constexpr size_t kSubEventLogCapacity = 4096;
+/// Sampled span trees retained for GET /debug/traces (the slowest handful
+/// is kept on top of these).
+inline constexpr size_t kTraceRingCapacity = 64;
+
 /// Everything a Service deployment fixes at startup.
 struct ServiceOptions {
   EngineKind engine = EngineKind::kAcc2;
 
   /// Chain-wide consensus parameters (index mode, schema, skip list) plus
-  /// the SP-local tuning knobs (proof_cache_capacity, block_cache_blocks)
-  /// they carry.
+  /// the SP-local block_cache_blocks they carry.
   core::ChainConfig config;
 
   /// Trusted setup. Pass a shared oracle to make several services (or a
@@ -110,25 +118,14 @@ struct ServiceOptions {
   std::string store_dir;
   store::BlockStore::Options store_options;
 
-  /// Persist subscription state (registered queries + ids, drain cursor,
-  /// pending lazy runs) as CRC-framed alternating slot files in `store_dir`,
-  /// and resume from the latest valid slot on reopen — a restarted SP picks
-  /// up its standing queries without replaying the chain. Requires a
-  /// store_dir; ignored in in-memory mode. Blocks drained after the last
-  /// checkpoint are re-matched on restart, so their notifications are
-  /// re-delivered (at-least-once; subscribers dedup by (query_id, height)).
-  bool sub_checkpoints = true;
-
-  /// Also write a checkpoint every N drained blocks (0 = only at Sync and
-  /// on Subscribe/Unsubscribe), bounding the at-least-once replay window.
+  /// A store-backed service checkpoints subscription state (queries + ids,
+  /// drain cursor, pending lazy runs) to CRC-framed alternating slot files
+  /// in `store_dir` and resumes from the latest valid slot on reopen.
+  /// Blocks drained after the last checkpoint are re-matched on restart
+  /// (at-least-once; subscribers dedup by (query_id, height)). Checkpoints
+  /// are written at Sync, on Subscribe/Unsubscribe, and every N drained
+  /// blocks (0 = only the former), bounding the replay window.
   uint64_t sub_checkpoint_interval_blocks = 64;
-
-  /// Bound on buffered subscription events retained for redelivery
-  /// (EventsSince). A subscriber whose cursor falls behind this window gets
-  /// its events regenerated by re-matching the mined blocks — same bytes,
-  /// higher cost — so memory stays bounded no matter how slow a consumer
-  /// is. 0 = unbounded log.
-  size_t sub_event_log_capacity = 4096;
 
   // --- introspection plane (common/span.h, common/flight_recorder.h) -------
 
@@ -141,10 +138,8 @@ struct ServiceOptions {
   /// changes response bytes.
   bool tracing = true;
 
-  /// Finished span trees retained for GET /debug/traces: FIFO capacity of
-  /// the sampled set (the slowest handful is kept on top of this).
-  size_t trace_ring_capacity = 64;
-  /// Keep every Nth finished tree (0 = keep only the slowest set).
+  /// Keep every Nth finished span tree for GET /debug/traces (0 = keep
+  /// only the slowest set; see kTraceRingCapacity).
   uint64_t trace_sample_every = 16;
 
   /// Verification canary: every Nth successful query is replayed through
@@ -207,10 +202,10 @@ struct ServiceStats {
   uint64_t queries_served = 0;
   uint64_t subscriptions_active = 0;
   /// Events held in the bounded in-memory redelivery log
-  /// (ServiceOptions::sub_event_log_capacity).
+  /// (kSubEventLogCapacity).
   uint64_t subscription_events_pending = 0;
   /// Sequence number of the latest durable subscription checkpoint
-  /// (0 = none written or loaded; checkpointing off or in-memory mode).
+  /// (0 = none written or loaded, or in-memory mode).
   uint64_t sub_checkpoint_seq = 0;
   LruStats proof_cache;
   LruStats block_cache;  ///< zero in in-memory mode (no decoded-block cache)

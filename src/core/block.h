@@ -56,11 +56,6 @@ struct ChainConfig {
   /// gives a maximum jump of 64 (Appendix D.3).
   uint32_t skiplist_size = 5;
   chain::PowConfig pow;
-  /// SP-local tuning (not consensus): max proofs resident in a processor's
-  /// or subscription manager's disjointness-proof cache before LRU eviction
-  /// kicks in; 0 = unbounded. Long-lived subscription SPs prove against an
-  /// ever-growing digest set, so leave this finite in production.
-  size_t proof_cache_capacity = 1u << 16;
   /// SP-local tuning (not consensus): decoded blocks the disk-backed block
   /// cache keeps resident (store/concurrent_block_source.h). Size to the hot
   /// query window; the chain itself may be arbitrarily larger than RAM.

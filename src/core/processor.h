@@ -62,7 +62,6 @@ class QueryProcessor {
       : engine_(engine),
         config_(config),
         source_(source),
-        own_cache_(config.proof_cache_capacity),
         cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {}
 
   // cache_ may point at own_cache_, so a memberwise copy/move would leave

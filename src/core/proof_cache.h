@@ -6,11 +6,11 @@
 // IP-Tree). Proofs are cached under H(digest_bytes | clause_bytes), which is
 // canonical for any engine.
 //
-// The cache is LRU-bounded (ChainConfig::proof_cache_capacity): a standing
+// The cache is LRU-bounded (kDefaultCapacity, 64Ki proofs): a standing
 // subscription SP proves against an ever-growing set of node digests, so an
 // unbounded map is a slow leak. Hits refresh recency; inserting past
-// capacity evicts the coldest entry and bumps `Stats::evictions`. Capacity 0
-// means unbounded (benchmarks that want the old behavior).
+// capacity evicts the coldest entry and bumps `Stats::evictions`. Tests pass
+// a tiny capacity (or 0 = unbounded) to reach eviction directly.
 //
 // Thread safety: the cache is safe to share across QueryProcessors queried
 // from many threads concurrently (the concurrent-SP shape of api::Service).
@@ -20,12 +20,13 @@
 // standalone processor or subscription manager) the cache is one exact
 // global LRU; with more shards each shard LRU-bounds its own partition
 // (total resident proofs stay within capacity + shards - 1), which is the
-// right trade for a cache hammered by many query threads (api::Service's
-// shared cache has a fixed 16). GetOrProve is the only way in: a lookup
-// and its insert always pair with the proof they describe. Proofs are
-// deterministic, so cache behavior — including two threads racing to prove
-// the same key — can never change a proof, digest, or VO byte; it only
-// affects how often ProveDisjoint runs.
+// right trade for a cache hammered by many query threads (api::Service
+// shares one 16-stripe cache between its queries and its subscription
+// drain). GetOrProve is the only way in: a lookup and its insert always
+// pair with the proof they describe. Proofs are deterministic, so cache
+// behavior — including two threads racing to prove the same key — can never
+// change a proof, digest, or VO byte; it only affects how often
+// ProveDisjoint runs.
 
 #ifndef VCHAIN_CORE_PROOF_CACHE_H_
 #define VCHAIN_CORE_PROOF_CACHE_H_
@@ -47,10 +48,13 @@ class ProofCache {
   using Stats = LruStats;
   using Key = crypto::Hash32;
 
+  /// Resident proofs every production cache keeps.
+  static constexpr size_t kDefaultCapacity = size_t{1} << 16;
+
   /// `capacity` = max resident proofs; 0 = unbounded. `shards` = number of
   /// independently-locked LRU partitions (rounded up to 1); use 1 for an
   /// exact global LRU, more (e.g. 16) when many threads share the cache.
-  explicit ProofCache(size_t capacity = 0, size_t shards = 1) {
+  explicit ProofCache(size_t capacity = kDefaultCapacity, size_t shards = 1) {
     if (shards < 1) shards = 1;
     size_t per_shard =
         capacity == 0 ? 0 : (capacity + shards - 1) / shards;
@@ -58,7 +62,6 @@ class ProofCache {
     for (size_t s = 0; s < shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(per_shard));
     }
-    capacity_ = capacity;
   }
 
   /// Returns the cached or freshly-computed proof for (w, clause); forwards
@@ -113,16 +116,6 @@ class ProofCache {
     return out;
   }
 
-  size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  void Clear() {
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->map.Clear();
-    }
-  }
-
  private:
   /// Canonical cache key for a (digest, clause) pair — H(digest | clause).
   static Key KeyFor(const Engine& engine,
@@ -159,7 +152,6 @@ class ProofCache {
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  size_t capacity_ = 0;
 };
 
 }  // namespace vchain::core

@@ -75,9 +75,11 @@
 // pool; multi-scalar multiplications stay serial. All parallel paths are
 // bit-identical to their serial counterparts.
 //
-// Cache knobs (SP-local, never consensus): `ChainConfig::proof_cache_capacity`
-// LRU-bounds the disjointness-proof cache; `ChainConfig::block_cache_blocks`
-// sizes the store-backed decoded-block cache.
+// Cache sizing (SP-local, never consensus): the disjointness-proof cache is
+// LRU-bounded at a constant `ProofCache::kDefaultCapacity` (64Ki proofs),
+// shared by a Service's queries and its subscription drain; the one knob,
+// `ChainConfig::block_cache_blocks`, sizes the store-backed decoded-block
+// cache.
 
 #ifndef VCHAIN_CORE_VCHAIN_H_
 #define VCHAIN_CORE_VCHAIN_H_

@@ -78,18 +78,10 @@ std::string SanitizeRequestId(std::string_view id) {
 constexpr std::string_view kCrlf = "\r\n";
 constexpr std::string_view kHeadEnd = "\r\n\r\n";
 
-void SetRecvTimeoutMs(int fd, int64_t ms) {
-  if (ms <= 0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
 enum class RecvOutcome { kData, kEof, kTimeout, kError };
 
 /// Append more bytes from `fd` into `buf`. On kError, `*err` holds errno.
-RecvOutcome RecvMore(int fd, std::string* buf, int* err = nullptr) {
+RecvOutcome RecvMore(int fd, std::string* buf, int* err) {
   char chunk[4096];
   for (;;) {
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -100,7 +92,7 @@ RecvOutcome RecvMore(int fd, std::string* buf, int* err = nullptr) {
     if (n == 0) return RecvOutcome::kEof;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return RecvOutcome::kTimeout;
-    if (err != nullptr) *err = errno;
+    *err = errno;
     return RecvOutcome::kError;
   }
 }
@@ -329,9 +321,7 @@ HttpResponse RetryLaterResponse(int status, std::string body) {
   return resp;
 }
 
-Result<int> OpenClientSocket(const std::string& host, uint16_t port,
-                             int recv_timeout_seconds,
-                             int connect_timeout_seconds) {
+Result<int> OpenClientSocket(const std::string& host, uint16_t port) {
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
   hints.ai_family = AF_UNSPEC;
@@ -350,41 +340,39 @@ Result<int> OpenClientSocket(const std::string& host, uint16_t port,
       last_err = errno;
       continue;
     }
+    // Nonblocking connect + poll so an unresponsive host costs a bounded
+    // wait instead of the kernel's (minutes-long) SYN retry budget.
     bool connected = false;
-    if (connect_timeout_seconds > 0) {
-      // Nonblocking connect + poll so an unresponsive host costs a bounded
-      // wait instead of the kernel's (minutes-long) SYN retry budget.
-      int flags = ::fcntl(fd, F_GETFL, 0);
-      ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-      int crc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
-      if (crc == 0) {
-        connected = true;
-      } else if (errno == EINPROGRESS) {
-        struct pollfd p;
-        p.fd = fd;
-        p.events = POLLOUT;
-        int prc = ::poll(&p, 1, connect_timeout_seconds * 1000);
-        if (prc == 1) {
-          int so_error = 0;
-          socklen_t len = sizeof(so_error);
-          ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len);
-          if (so_error == 0) {
-            connected = true;
-          } else {
-            last_err = so_error;
-          }
+    int flags = ::fcntl(fd, F_GETFL, 0);
+    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    int crc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
+    if (crc == 0) {
+      connected = true;
+    } else if (errno == EINPROGRESS) {
+      struct pollfd p;
+      p.fd = fd;
+      p.events = POLLOUT;
+      int prc =
+          ::poll(&p, 1, HttpConnection::kConnectTimeoutSeconds * 1000);
+      if (prc == 1) {
+        int so_error = 0;
+        socklen_t len = sizeof(so_error);
+        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len);
+        if (so_error == 0) {
+          connected = true;
         } else {
-          last_err = prc == 0 ? ETIMEDOUT : errno;
+          last_err = so_error;
         }
       } else {
-        last_err = errno;
+        last_err = prc == 0 ? ETIMEDOUT : errno;
       }
-      if (connected) ::fcntl(fd, F_SETFL, flags);
     } else {
-      connected = ::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0;
-      if (!connected) last_err = errno;
+      last_err = errno;
     }
-    if (connected) break;
+    if (connected) {
+      ::fcntl(fd, F_SETFL, flags);
+      break;
+    }
     ::close(fd);
     fd = -1;
   }
@@ -395,7 +383,9 @@ Result<int> OpenClientSocket(const std::string& host, uint16_t port,
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetRecvTimeoutMs(fd, static_cast<int64_t>(recv_timeout_seconds) * 1000);
+  struct timeval tv {};
+  tv.tv_sec = HttpConnection::kRecvTimeoutSeconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   return fd;
 }
 
@@ -1101,16 +1091,10 @@ struct HttpServer::Loop {
             ? static_cast<uint64_t>(s->options_.recv_timeout_seconds) *
                   1'000'000'000ULL
             : 0;
-    const uint64_t head_ns =
-        s->options_.header_timeout_seconds > 0
-            ? static_cast<uint64_t>(s->options_.header_timeout_seconds) *
-                  1'000'000'000ULL
-            : 0;
-    const uint64_t body_ns =
-        s->options_.body_timeout_seconds > 0
-            ? static_cast<uint64_t>(s->options_.body_timeout_seconds) *
-                  1'000'000'000ULL
-            : 0;
+    constexpr uint64_t head_ns =
+        uint64_t{HttpServer::kHeaderTimeoutSeconds} * 1'000'000'000ULL;
+    constexpr uint64_t body_ns =
+        uint64_t{HttpServer::kBodyTimeoutSeconds} * 1'000'000'000ULL;
     switch (c->state) {
       case Conn::kReadHead:
         if (c->in.empty()) {
@@ -1121,22 +1105,14 @@ struct HttpServer::Loop {
           // Mid-head: idle timer resets on progress, but the total head
           // budget is anchored at the first byte — a slow-loris peer
           // trickling one byte per interval still gets 408.
-          uint64_t d = recv_ns ? now + recv_ns : 0;
-          if (head_ns) {
-            uint64_t hd = c->head_start_ns + head_ns;
-            d = d ? std::min(d, hd) : hd;
-          }
-          c->deadline_ns = d;
+          const uint64_t hd = c->head_start_ns + head_ns;
+          c->deadline_ns = recv_ns ? std::min(now + recv_ns, hd) : hd;
           c->expiry = Conn::k408Head;
         }
         break;
       case Conn::kReadBody: {
-        uint64_t d = recv_ns ? now + recv_ns : 0;
-        if (body_ns) {
-          uint64_t bd = c->body_start_ns + body_ns;
-          d = d ? std::min(d, bd) : bd;
-        }
-        c->deadline_ns = d;
+        const uint64_t bd = c->body_start_ns + body_ns;
+        c->deadline_ns = recv_ns ? std::min(now + recv_ns, bd) : bd;
         c->expiry = Conn::k408Body;
         break;
       }
@@ -1424,16 +1400,6 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(Options options,
   return server;
 }
 
-Result<std::unique_ptr<HttpServer>> HttpServer::Start(Options options,
-                                                      Handler handler) {
-  // The one-line sync adapter: buffered routes run unchanged on the loop.
-  return Start(std::move(options),
-               AsyncHandler([h = std::move(handler)](const HttpRequest& req,
-                                                     Responder responder) {
-                 responder.Send(h(req));
-               }));
-}
-
 HttpServer::~HttpServer() { Stop(); }
 
 void HttpServer::LoopMain() { loop_->Run(); }
@@ -1553,9 +1519,7 @@ HttpConnection::~HttpConnection() {
 
 Status HttpConnection::Connect() {
   if (fd_ >= 0) return Status::OK();
-  auto fd = OpenClientSocket(options_.host, options_.port,
-                             options_.recv_timeout_seconds,
-                             options_.connect_timeout_seconds);
+  auto fd = OpenClientSocket(options_.host, options_.port);
   if (!fd.ok()) return fd.status();
   fd_ = fd.value();
   return Status::OK();
@@ -1618,7 +1582,7 @@ Result<HttpResponse> HttpConnection::RoundTrip(
       if (out == RecvOutcome::kTimeout) {
         recv_failure = Status::Internal(
             "recv from " + peer + " timed out after " +
-            std::to_string(options_.recv_timeout_seconds) + "s");
+            std::to_string(kRecvTimeoutSeconds) + "s");
       } else if (out == RecvOutcome::kError) {
         recv_failure = Status::Internal("recv from " + peer +
                                         " failed: " + std::strerror(err));
@@ -1673,7 +1637,7 @@ Result<HttpResponse> HttpConnection::RoundTrip(
       if (key == "content-length") {
         uint64_t v = 0;
         if (have_length || !ParseDecimalU64(value, &v) ||
-            v > options_.max_response_bytes) {
+            v > kMaxResponseBytes) {
           return Status::Corruption("bad content-length");
         }
         have_length = true;
@@ -1700,8 +1664,7 @@ Result<HttpResponse> HttpConnection::RoundTrip(
       if (out == RecvOutcome::kTimeout) {
         return Status::Internal(
             "recv from " + peer + " timed out after " +
-            std::to_string(options_.recv_timeout_seconds) +
-            "s mid-body");
+            std::to_string(kRecvTimeoutSeconds) + "s mid-body");
       }
       if (out == RecvOutcome::kError) {
         return Status::Internal("recv from " + peer +

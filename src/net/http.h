@@ -166,14 +166,6 @@ class HttpServer {
     /// Token-bucket burst per IP; 0 -> max(rate_limit_rps, 1).
     double rate_limit_burst = 0;
 
-    // --- slow-loris protection -----------------------------------------------
-    /// Once the first head byte arrives, the full request head must arrive
-    /// within this budget (408 otherwise). 0 disables.
-    int header_timeout_seconds = 5;
-    /// Budget for the request body after the head (408 otherwise). 0
-    /// disables.
-    int body_timeout_seconds = 10;
-
     // --- streaming -----------------------------------------------------------
     /// Per-connection cap on stream bytes buffered ahead of a slow
     /// consumer; overflow disconnects the stream (the subscriber resumes
@@ -189,20 +181,14 @@ class HttpServer {
     metrics::Registry* registry = nullptr;
   };
 
-  /// Synchronous route: return one buffered response.
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
-  /// Asynchronous route: complete (now or later, from any thread) through
-  /// the Responder.
+  /// A route: complete (now or later, from any thread) through the
+  /// Responder.
   using AsyncHandler = std::function<void(const HttpRequest&, Responder)>;
 
   /// Bind, listen, and spin up the event loop + worker pool. InvalidArgument
   /// for a bad bind address, Internal for socket errors (port in use, ...).
   static Result<std::unique_ptr<HttpServer>> Start(Options options,
                                                    AsyncHandler handler);
-  /// Sync adapter: wraps `handler` so existing buffered routes run
-  /// unchanged on the event loop.
-  static Result<std::unique_ptr<HttpServer>> Start(Options options,
-                                                   Handler handler);
 
   ~HttpServer();
   HttpServer(const HttpServer&) = delete;
@@ -223,6 +209,10 @@ class HttpServer {
   static constexpr size_t kMaxHeadBytes = 16u << 10;
   static constexpr size_t kMaxHeaderCount = 64;
   static constexpr size_t kMaxTargetBytes = 2048;
+  /// Slow-loris budgets from the first head byte / the end of the head
+  /// (408 otherwise).
+  static constexpr int kHeaderTimeoutSeconds = 5;
+  static constexpr int kBodyTimeoutSeconds = 10;
 
  private:
   friend struct ResponderCore;
@@ -270,12 +260,12 @@ class HttpConnection {
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;
-    size_t max_response_bytes = 256u << 20;
-    int recv_timeout_seconds = 60;
-    /// Budget for establishing the TCP connection (nonblocking connect +
-    /// poll). 0 = the OS default.
-    int connect_timeout_seconds = 10;
   };
+
+  /// Transport bounds: response body size, a stalled recv, a TCP connect.
+  static constexpr size_t kMaxResponseBytes = 256u << 20;
+  static constexpr int kRecvTimeoutSeconds = 60;
+  static constexpr int kConnectTimeoutSeconds = 10;
 
   explicit HttpConnection(Options options) : options_(std::move(options)) {}
   ~HttpConnection();

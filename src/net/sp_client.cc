@@ -55,8 +55,8 @@ uint64_t SplitMix64(uint64_t* state) {
 int64_t SpClient::ComputeBackoffMs(const RetryPolicy& policy, int attempt,
                                    uint64_t jitter) {
   double base = static_cast<double>(policy.initial_backoff_ms);
-  for (int i = 1; i < attempt; ++i) base *= policy.backoff_multiplier;
-  base = std::min(base, static_cast<double>(policy.max_backoff_ms));
+  for (int i = 1; i < attempt; ++i) base *= RetryPolicy::kBackoffMultiplier;
+  base = std::min(base, static_cast<double>(RetryPolicy::kMaxBackoffMs));
   int64_t cap = std::max<int64_t>(1, static_cast<int64_t>(base));
   // Uniform in [cap/2, cap]: enough spread to de-correlate a thundering
   // herd while still guaranteeing meaningful backoff.
@@ -93,9 +93,8 @@ Result<HttpResponse> SpClient::Exchange(
       const std::string* ra = FindHeader(resp.value(), "retry-after");
       uint64_t seconds = 0;
       if (ra != nullptr && ParseDecimalU64(*ra, &seconds)) {
-        seconds = std::min<uint64_t>(
-            seconds, static_cast<uint64_t>(
-                         std::max(0, policy.max_retry_after_seconds)));
+        seconds =
+            std::min<uint64_t>(seconds, RetryPolicy::kMaxRetryAfterSeconds);
         server_wait_ms = static_cast<int64_t>(seconds) * 1000;
       }
     } else {
@@ -120,18 +119,12 @@ Result<std::unique_ptr<SpClient>> SpClient::Connect(Options options) {
   auto verifier = api::Service::Open(options.verify);
   if (!verifier.ok()) return verifier.status();
   client->verifier_ = verifier.TakeValue();
-  HttpConnection::Options http;
-  http.host = options.host;
-  http.port = options.port;
-  http.max_response_bytes = options.max_response_bytes;
-  http.recv_timeout_seconds = options.recv_timeout_seconds;
-  http.connect_timeout_seconds = options.connect_timeout_seconds;
-  client->http_ = std::make_unique<HttpConnection>(std::move(http));
-  client->jitter_state_ = options.retry.jitter_seed;
+  client->http_ = std::make_unique<HttpConnection>(
+      HttpConnection::Options{options.host, options.port});
   // Request ids must differ across client processes (they correlate server
   // logs), so unlike backoff jitter they are seeded from entropy.
   client->id_state_ = (static_cast<uint64_t>(std::random_device{}()) << 32) ^
-                      std::random_device{}() ^ options.retry.jitter_seed;
+                      std::random_device{}() ^ RetryPolicy::kJitterSeed;
   client->options_ = std::move(options);
   return client;
 }

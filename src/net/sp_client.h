@@ -52,16 +52,17 @@ class SpClient {
   /// retried on transport errors (connect/send/recv) and on the SP's 429 /
   /// 503 back-off answers; protocol errors (400/404, Corruption) never
   /// retry. Backoff for attempt k is jittered uniformly in
-  /// [base/2, base] with base = initial_backoff_ms * multiplier^(k-1),
-  /// capped at max_backoff_ms; a server Retry-After raises (never lowers)
-  /// the wait, capped at max_retry_after_seconds.
+  /// [base/2, base] with base = initial_backoff_ms * kBackoffMultiplier^(k-1),
+  /// capped at kMaxBackoffMs; a server Retry-After raises (never lowers)
+  /// the wait, capped at kMaxRetryAfterSeconds.
   struct RetryPolicy {
+    static constexpr double kBackoffMultiplier = 2.0;
+    static constexpr int kMaxBackoffMs = 2000;
+    static constexpr int kMaxRetryAfterSeconds = 5;
+    static constexpr uint64_t kJitterSeed = 0x76636A31;  ///< deterministic
+
     int max_attempts = 3;  ///< 1 = no retries
     int initial_backoff_ms = 100;
-    double backoff_multiplier = 2.0;
-    int max_backoff_ms = 2000;
-    int max_retry_after_seconds = 5;
-    uint64_t jitter_seed = 0x76636A31;  ///< deterministic by default
   };
 
   struct Options {
@@ -71,9 +72,6 @@ class SpClient {
     /// trusted setup (oracle or oracle_seed/acc_params). `store_dir` is
     /// ignored — the verifier role never holds chain state.
     api::ServiceOptions verify;
-    size_t max_response_bytes = 256u << 20;
-    int recv_timeout_seconds = 60;
-    int connect_timeout_seconds = 10;
     RetryPolicy retry;
   };
 
@@ -199,10 +197,9 @@ class SpClient {
   Options options_;
   std::unique_ptr<HttpConnection> http_;
   std::unique_ptr<api::Service> verifier_;  ///< chain-less verifier role
-  uint64_t jitter_state_ = 0;               ///< splitmix64 walk
-  uint64_t id_state_ = 0;                   ///< request-id walk (separate
-                                            ///< stream: ids must not perturb
-                                            ///< backoff jitter sequences)
+  uint64_t jitter_state_ = RetryPolicy::kJitterSeed;  ///< splitmix64 walk
+  /// Request-id walk (separate stream: ids must not perturb backoff jitter).
+  uint64_t id_state_ = 0;
 };
 
 }  // namespace vchain::net

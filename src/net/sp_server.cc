@@ -379,7 +379,7 @@ void SpServer::HandleEvents(const HttpRequest& req, Responder responder) {
   const uint32_t id = static_cast<uint32_t>(id64);
   const size_t max_events = static_cast<size_t>(
       std::clamp<uint64_t>(max64, 1, kMaxWireEventsPerFrame));
-  wait_ms = std::min(wait_ms, options_.max_events_wait_ms);
+  wait_ms = std::min(wait_ms, kMaxEventsWaitMs);
   auto accept = req.headers.find("accept");
   const bool sse = accept != req.headers.end() &&
                    accept->second.find("text/event-stream") != std::string::npos;

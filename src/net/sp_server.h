@@ -55,7 +55,7 @@
 // ServiceOptions::tracing = false holds on the wire too.
 //
 // Availability: the embedded HttpServer enforces the connection cap, per-IP
-// rate limit, and slow-loris timeouts (HttpServer::Options); Drain() is the
+// rate limit (HttpServer::Options), and slow-loris timeouts; Drain() is the
 // graceful shutdown used by vchain_spd's signal handler — stop accepting,
 // finish in-flight requests, then a final service Sync().
 //
@@ -90,10 +90,11 @@ class SpServer {
     /// with provenance). Off by default so the public surface is unchanged:
     /// the routes answer the generic 404 when disabled.
     bool debug_endpoints = false;
-    /// Cap on a GET /events long-poll park (`wait_ms` is clamped to this);
-    /// bounds how long a drained server waits on idle subscribers.
-    uint64_t max_events_wait_ms = 30000;
   };
+
+  /// Cap on a GET /events long-poll park (`wait_ms` is clamped to this);
+  /// bounds how long a drained server waits on idle subscribers.
+  static constexpr uint64_t kMaxEventsWaitMs = 30000;
 
   /// Start serving `service` (not owned; must outlive the server).
   static Result<std::unique_ptr<SpServer>> Start(api::Service* service,

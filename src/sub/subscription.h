@@ -164,13 +164,21 @@ class SubscriptionManager {
     IpTree::Options ip;
   };
 
+  /// `shared_cache` (optional) substitutes an external proof cache for the
+  /// internal one (api::Service passes the cache its queries use).
   SubscriptionManager(const Engine& engine, const ChainConfig& config,
-                      Options options)
+                      Options options,
+                      ProofCache<Engine>* shared_cache = nullptr)
       : engine_(engine),
         config_(config),
         options_(options),
         ip_tree_(config.schema, options.ip),
-        cache_(config.proof_cache_capacity) {}
+        cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {}
+
+  // cache_ may point at own_cache_, so a memberwise copy/move would leave
+  // the new object aiming into the source's storage.
+  SubscriptionManager(const SubscriptionManager&) = delete;
+  SubscriptionManager& operator=(const SubscriptionManager&) = delete;
 
   /// Register a standing query; returns its id. Rejects a structurally
   /// invalid query (inverted/out-of-domain range, out-of-schema dimension,
@@ -336,7 +344,7 @@ class SubscriptionManager {
   }
 
   typename ProofCache<Engine>::Stats cache_stats() const {
-    return cache_.stats();
+    return cache_->stats();
   }
 
  private:
@@ -737,7 +745,7 @@ class SubscriptionManager {
   typename Engine::Proof Prove(const typename Engine::ObjectDigest& digest,
                                const Multiset& w, const Multiset& set) {
     if (options_.use_ip_tree) {
-      auto proof = cache_.GetOrProve(engine_, digest, w, set);
+      auto proof = cache_->GetOrProve(engine_, digest, w, set);
       assert(proof.ok());
       return proof.TakeValue();
     }
@@ -824,8 +832,8 @@ class SubscriptionManager {
       const QueryRuntime& rt = runtime_.at(query_id);
       auto digest = engine_.Digest(state->w_sum);
       auto proof =
-          cache_.GetOrProve(engine_, digest, state->w_sum,
-                            index_.SetOf(rt.clause_ids[batch.clause_idx]));
+          cache_->GetOrProve(engine_, digest, state->w_sum,
+                             index_.SetOf(rt.clause_ids[batch.clause_idx]));
       assert(proof.ok());
       batch.agg_proof = proof.TakeValue();
     }
@@ -855,7 +863,8 @@ class SubscriptionManager {
   ClauseIndex index_;
   std::map<uint32_t, QueryRuntime> runtime_;
   std::map<uint32_t, LazyState> lazy_state_;
-  ProofCache<Engine> cache_;
+  ProofCache<Engine> own_cache_;
+  ProofCache<Engine>* cache_;
   std::vector<uint64_t> mapped_w_;  // per-node mapping scratch
   // Per-block lazy-mode scratch: mapped skip multisets by
   // level and the (level, clause) disjointness memo.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "api/query_builder.h"
 #include "api/service.h"
+#include "common/metrics.h"
 #include "common/rand.h"
 #include "core/vchain.h"
 
@@ -568,6 +570,93 @@ TEST(ServiceStatsTest, StatsTrackCachesAndEngineKind) {
   EXPECT_EQ(second.queries_served, 2u);
   // The second identical query hits the shared proof cache.
   EXPECT_GT(second.proof_cache.hits, first.proof_cache.hits);
+}
+
+TEST(ServiceStatsTest, SubscriptionProofsGoThroughTheServiceCache) {
+  auto svc = Service::Open(BaseOptions<accum::MockAcc2Engine>(TestOracle()));
+  ASSERT_TRUE(svc.ok());
+  // Nothing carries this keyword, so every block needs a mismatch proof.
+  auto id = svc.value()->Subscribe(QueryBuilder().AnyOf({"Nowhere"}).Build());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  AppendAll(svc.value().get(),
+            MakeBlocks(4, 3, /*seed=*/23, TestConfig().schema));
+  // No query ran: every counted proof is a notification proof.
+  ServiceStats stats = svc.value()->Stats();
+  EXPECT_EQ(stats.queries_served, 0u);
+  EXPECT_GT(stats.proof_cache.misses, 0u);
+}
+
+TEST(ServiceSubscriptionTest, TrimmedEventsAreRegeneratedByteIdentical) {
+  // 64 subscribers x 70 blocks = 4480 events: the bounded log keeps the
+  // newest kSubEventLogCapacity, so the first six blocks' events are
+  // trimmed for every subscriber.
+  constexpr size_t kSubscribers = 64;
+  constexpr size_t kBlocks = 70;
+  static_assert(kSubscribers * kBlocks > kSubEventLogCapacity);
+  static_assert((kSubscribers * kBlocks - kSubEventLogCapacity) %
+                    kSubscribers ==
+                0);
+  constexpr size_t kTrimmed =
+      (kSubscribers * kBlocks - kSubEventLogCapacity) / kSubscribers;
+
+  auto svc = Service::Open(BaseOptions<accum::MockAcc2Engine>(TestOracle()));
+  ASSERT_TRUE(svc.ok());
+  std::vector<Query> standing;
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < kSubscribers; ++i) {
+    uint64_t lo = (i * 4) % 256;
+    standing.push_back(QueryBuilder()
+                           .Range(0, lo, std::min<uint64_t>(lo + 40, 255))
+                           .AnyOf({i % 2 == 0 ? "Sedan" : "Van"})
+                           .Build());
+    auto id = svc.value()->Subscribe(standing.back());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+
+  // Capture subscriber 0's event for each block while the log still holds
+  // it.
+  auto blocks = MakeBlocks(kBlocks, 3, /*seed=*/29, TestConfig().schema);
+  std::vector<Bytes> original;
+  for (size_t h = 0; h < kBlocks; ++h) {
+    ASSERT_TRUE(
+        svc.value()->Append(blocks[h], blocks[h].front().timestamp).ok());
+    auto batch = svc.value()->EventsSince(ids[0], h, 1);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch.value().events.size(), 1u);
+    EXPECT_EQ(batch.value().events[0].height, h);
+    EXPECT_FALSE(batch.value().redelivered) << "height " << h;
+    original.push_back(batch.value().events[0].notification_bytes);
+  }
+  EXPECT_EQ(svc.value()->Stats().subscription_events_pending,
+            kSubEventLogCapacity);
+
+  metrics::Counter* redelivered = metrics::Registry::Default().GetCounter(
+      "vchain_sub_redelivered_total", "");
+  const uint64_t redelivered_before = redelivered->Value();
+  auto trimmed = svc.value()->EventsSince(ids[0], 0, kTrimmed);
+  ASSERT_TRUE(trimmed.ok()) << trimmed.status().ToString();
+  EXPECT_TRUE(trimmed.value().redelivered);
+  EXPECT_EQ(trimmed.value().next_cursor, kTrimmed);
+  EXPECT_EQ(redelivered->Value() - redelivered_before, kTrimmed);
+  // The rest are still in the log: served as-is, nothing regenerated.
+  auto logged = svc.value()->EventsSince(ids[0], kTrimmed, kBlocks);
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  EXPECT_FALSE(logged.value().redelivered);
+  EXPECT_EQ(redelivered->Value() - redelivered_before, kTrimmed);
+
+  std::vector<SubscriptionEvent> events = trimmed.value().events;
+  events.insert(events.end(), logged.value().events.begin(),
+                logged.value().events.end());
+  ASSERT_EQ(events.size(), kBlocks);
+  LightClient light;
+  ASSERT_TRUE(svc.value()->SyncLightClient(&light).ok());
+  for (size_t h = 0; h < kBlocks; ++h) {
+    EXPECT_EQ(events[h].height, h);
+    EXPECT_EQ(events[h].notification_bytes, original[h]) << "height " << h;
+    Status st = svc.value()->VerifyNotification(standing[0], events[h], light);
+    EXPECT_TRUE(st.ok()) << "height " << h << ": " << st.ToString();
+  }
 }
 
 }  // namespace

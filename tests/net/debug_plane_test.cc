@@ -131,7 +131,7 @@ TEST(DebugPlaneTest, EnabledRoutesServeStrictJson) {
   ASSERT_NE(chain, nullptr);
 
   // Provenance: canary_sample_every was set to a non-default value above,
-  // engine was set explicitly; trace_ring_capacity rode its default.
+  // engine was set explicitly; canary_max_pending rode its default.
   auto provenance = [&](const JsonValue* tier, const char* field) {
     const JsonValue* f = tier->Find(field);
     EXPECT_NE(f, nullptr) << field;
@@ -142,7 +142,7 @@ TEST(DebugPlaneTest, EnabledRoutesServeStrictJson) {
   };
   EXPECT_EQ(provenance(service, "canary_sample_every"), "set");
   EXPECT_EQ(provenance(service, "engine"), "set");
-  EXPECT_EQ(provenance(service, "trace_ring_capacity"), "default");
+  EXPECT_EQ(provenance(service, "canary_max_pending"), "default");
 
   // The debug plane is read-only.
   HttpConnection conn({.host = "127.0.0.1", .port = port});

@@ -64,12 +64,13 @@ class HttpServerTest : public ::testing::Test {
     opts.num_threads = 2;
     opts.max_body_bytes = 1024;
     opts.recv_timeout_seconds = 2;  // hostile half-requests time out fast
-    auto server = HttpServer::Start(opts, [](const HttpRequest& req) {
-      HttpResponse resp;
-      resp.content_type = "text/plain";
-      resp.body = req.method + " " + req.path + " ok\n";
-      return resp;
-    });
+    auto server =
+        HttpServer::Start(opts, [](const HttpRequest& req, Responder r) {
+          HttpResponse resp;
+          resp.content_type = "text/plain";
+          resp.body = req.method + " " + req.path + " ok\n";
+          r.Send(std::move(resp));
+        });
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = server.TakeValue();
   }
@@ -226,8 +227,8 @@ TEST(HttpServerMetricsTest, InjectedRegistryIsTheOneSourceOfTruth) {
   HttpServer::Options opts;
   opts.num_threads = 2;
   opts.registry = &registry;
-  auto server = HttpServer::Start(opts, [](const HttpRequest&) {
-    return HttpResponse{.content_type = "text/plain", .body = "ok\n"};
+  auto server = HttpServer::Start(opts, [](const HttpRequest&, Responder r) {
+    r.Send(HttpResponse{.content_type = "text/plain", .body = "ok\n"});
   });
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   HttpConnection conn({.host = "127.0.0.1", .port = server.value()->port()});

@@ -137,9 +137,9 @@ TEST(OverloadTest, FloodIsShedWith503AndBoundedState) {
   opts.num_threads = 1;
   opts.max_connections = 2;
   opts.recv_timeout_seconds = 1;  // close served keep-alive conns quickly
-  auto server = HttpServer::Start(opts, [](const HttpRequest&) {
+  auto server = HttpServer::Start(opts, [](const HttpRequest&, Responder r) {
     SleepMs(400);
-    return HttpResponse{.content_type = "text/plain", .body = "slow\n"};
+    r.Send(HttpResponse{.content_type = "text/plain", .body = "slow\n"});
   });
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   uint16_t port = server.value()->port();
@@ -176,8 +176,8 @@ TEST(OverloadTest, PerIpRateLimitAnswers429ThenRecovers) {
   opts.num_threads = 2;
   opts.rate_limit_rps = 2;
   opts.rate_limit_burst = 2;
-  auto server = HttpServer::Start(opts, [](const HttpRequest&) {
-    return HttpResponse{.content_type = "text/plain", .body = "ok\n"};
+  auto server = HttpServer::Start(opts, [](const HttpRequest&, Responder r) {
+    r.Send(HttpResponse{.content_type = "text/plain", .body = "ok\n"});
   });
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -211,9 +211,9 @@ TEST(OverloadTest, PerIpRateLimitAnswers429ThenRecovers) {
 TEST(OverloadTest, DrainFinishesInFlightThenStopsAccepting) {
   HttpServer::Options opts;
   opts.num_threads = 1;
-  auto server = HttpServer::Start(opts, [](const HttpRequest&) {
+  auto server = HttpServer::Start(opts, [](const HttpRequest&, Responder r) {
     SleepMs(200);
-    return HttpResponse{.content_type = "text/plain", .body = "done\n"};
+    r.Send(HttpResponse{.content_type = "text/plain", .body = "done\n"});
   });
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   uint16_t port = server.value()->port();

@@ -3,10 +3,13 @@
 against the committed baselines in bench/results/.
 
 Every figure/bench driver emits rows of {"op", "n", "median_ns",
-"throughput"} (bench/harness.h BenchJson). This tool matches rows by
-(op, n) across a baseline directory and a current directory and fails
-(exit 1) when any matched row's median_ns regressed by more than
---threshold (default 0.30 = +30%).
+"throughput"} (bench/harness.h BenchJson); a row measured over repetitions
+also carries its "p10"/"p90". This tool matches rows by (op, n) across a
+baseline directory and a current directory and fails (exit 1) when any
+matched row's median_ns regressed by more than its bound: --threshold
+(default 0.30 = +30%), widened for a baseline row with a spread to
+3 x (p90 - p10) / median when that is larger, so a row is only held to
+what its own run-to-run spread can resolve.
 
 Rows are skipped, never failed, when:
   * the file or the (op, n) row exists on only one side (new/retired ops);
@@ -27,15 +30,22 @@ import sys
 
 
 def load(path: pathlib.Path):
-    """-> ({(op, n): median_ns}, machine or None); last key wins."""
+    """-> ({(op, n): row}, machine or None); last key wins."""
     with open(path) as f:
         doc = json.load(f)
-    rows = {}
-    for row in doc.get("rows", []):
-        rows[(row["op"], row["n"])] = float(row["median_ns"])
+    rows = {(row["op"], row["n"]): row for row in doc.get("rows", [])}
     meta = doc.get("meta")
     machine = (meta.get("nproc"), meta.get("cpu_model")) if meta else None
     return rows, machine
+
+
+def bound(row, threshold: float) -> float:
+    """Allowed regression for a baseline row: max(threshold, 3x its
+    relative p10-p90 spread); rows without a spread keep the threshold."""
+    if "p10" not in row or "p90" not in row:
+        return threshold
+    spread = (float(row["p90"]) - float(row["p10"])) / float(row["median_ns"])
+    return max(threshold, 3 * spread)
 
 
 def main() -> int:
@@ -46,7 +56,8 @@ def main() -> int:
                     help="directory with freshly generated BENCH_*.json files")
     ap.add_argument("--threshold", type=float, default=0.30,
                     help="fail when median_ns grows by more than this "
-                         "fraction (default: 0.30)")
+                         "fraction, or by 3x a baseline row's p10-p90 "
+                         "spread when that is larger (default: 0.30)")
     ap.add_argument("--min-ns", type=float, default=1000.0,
                     help="ignore rows whose baseline median is below this "
                          "(jitter floor; default: 1000)")
@@ -77,22 +88,25 @@ def main() -> int:
             continue
         for key in sorted(baseline.keys() & current.keys(),
                           key=lambda k: (str(k[0]), k[1])):
-            base_ns, cur_ns = baseline[key], current[key]
+            base_ns = float(baseline[key]["median_ns"])
+            cur_ns = float(current[key]["median_ns"])
             if base_ns < args.min_ns:
                 continue
             compared += 1
             delta = (cur_ns - base_ns) / base_ns
+            limit = bound(baseline[key], args.threshold)
             op, n = key
             line = (f"  {current_path.name}: {op} (n={n}) "
-                    f"{base_ns:.0f} -> {cur_ns:.0f} ns ({delta:+.1%})")
-            if delta > args.threshold:
+                    f"{base_ns:.0f} -> {cur_ns:.0f} ns ({delta:+.1%}, "
+                    f"bound +{limit:.0%})")
+            if delta > limit:
                 regressions.append(line)
                 print(line + "  REGRESSION")
             else:
                 print(line)
 
     print(f"bench_diff: compared {compared} rows, "
-          f"{len(regressions)} regression(s) beyond +{args.threshold:.0%}")
+          f"{len(regressions)} regression(s) beyond their bound")
     if regressions:
         print("\nregressed rows:")
         for line in regressions:
