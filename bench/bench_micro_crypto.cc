@@ -274,6 +274,27 @@ void BM_VerifyDisjoint(benchmark::State& state) {
 BENCHMARK(BM_VerifyDisjoint<Acc1Engine>);
 BENCHMARK(BM_VerifyDisjoint<Acc2Engine>);
 
+// One answer's k disjointness checks in one VerifyDisjointAll call; checks
+// alternate between two clauses, as a two-clause query's would. k = 1 is
+// BM_VerifyDisjoint's check.
+template <typename Engine>
+void BM_VerifyDisjointAll(benchmark::State& state) {
+  Engine engine(Oracle());
+  const Multiset clauses[] = {Multiset{1, 2, 3}, Multiset{4, 5}};
+  std::vector<DisjointCheck<Engine>> checks;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    Multiset w = RandomMultiset(32, 9 + static_cast<uint64_t>(i));
+    const Multiset& clause = clauses[i % 2];
+    checks.push_back({engine.Digest(w), engine.QueryDigestOf(clause),
+                      engine.ProveDisjoint(w, clause).value()});
+  }
+  for (auto _ : state) {
+    bool ok = engine.VerifyDisjointAll(checks);
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_VerifyDisjointAll<Acc2Engine>)->DenseRange(1, 4);
+
 }  // namespace
 
 BENCHMARK_MAIN();

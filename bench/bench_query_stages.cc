@@ -23,6 +23,10 @@
 // `trace_overhead_pct-<e>` is the median over the repetitions with its
 // p10/p90 — the acceptance bound is a median overhead <= 3%.
 //
+// `verify-<engine>` is the light client's side of the same answers: the
+// median (with p10/p90) of Service::Verify over the cold queries' answers,
+// one pairing product per answer for acc2.
+//
 // Emits BENCH_query_stages.json. `--quick` shrinks the workload for CI
 // smoke; absolute numbers come from full runs.
 
@@ -76,6 +80,27 @@ std::vector<double> StageMedians(api::Service* svc,
   std::vector<double> medians;
   for (auto& row : samples) medians.push_back(Median(&row));
   return medians;
+}
+
+/// Record the `verify-<engine>` row: Service::Verify of each query's
+/// answer against a light client synced to `svc`.
+void EmitVerifyRow(api::Service* svc, const std::vector<core::Query>& queries,
+                   const char* engine_name, size_t blocks, BenchJson* json) {
+  chain::LightClient light;
+  if (!svc->SyncLightClient(&light).ok()) std::abort();
+  std::vector<double> samples;
+  for (const core::Query& q : queries) {
+    auto result = svc->Query(q);
+    if (!result.ok()) std::abort();
+    uint64_t t0 = metrics::MonotonicNanos();
+    if (!svc->Verify(q, result.value(), light).ok()) std::abort();
+    samples.push_back(static_cast<double>(metrics::MonotonicNanos() - t0));
+  }
+  const double median = Quantile(samples, 0.5);
+  std::printf("%-20s %-18s %14.0f %8s\n", "verify", engine_name, median, "-");
+  json->Add(std::string("verify-") + engine_name, blocks, median,
+            median > 0 ? 1e9 / median : 0, Quantile(samples, 0.1),
+            Quantile(samples, 0.9));
 }
 
 /// Print and record one row per stage.
@@ -193,6 +218,7 @@ int main(int argc, char** argv) {
     }
     EmitRows(StageMedians(svc.get(), cold_queries, /*cold=*/true), "-cold",
              engine_name, blocks, &json);
+    EmitVerifyRow(svc.get(), cold_queries, engine_name, blocks, &json);
   }
   return 0;
 }

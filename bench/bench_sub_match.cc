@@ -16,6 +16,11 @@
 // The mock acc2 engine isolates matching/dispatch cost from pairing
 // crypto; Figs 12-15 cover the cryptographic side of subscriptions.
 // `--quick` (CI smoke) caps the sweep at 10^4 subscriptions.
+//
+// Each row is the median over kReps sessions (fresh manager and chain each
+// time) of the session's mean per-block cost, with the p10/p90 of those
+// repetitions, so tools/bench_diff.py holds a row only to what its own
+// run-to-run spread can resolve.
 
 #include "sub_harness.h"
 
@@ -49,6 +54,33 @@ struct MatchPerQuery {
   }
 };
 
+/// Repetitions behind every row's median and p10/p90.
+constexpr size_t kReps = 5;
+
+struct Row {
+  double median_s, p10_s, p90_s;
+};
+
+/// Mean per-block SP seconds of kReps sessions of `n` subscriptions.
+template <typename Match = MatchByBlock>
+Row RepeatSession(const DatasetProfile& profile, const ChainConfig& config,
+                  size_t period_blocks, size_t n, const SubSessionOptions& so,
+                  Match match = {}) {
+  std::vector<double> per_block;
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    SubCosts c = RunSubscriptionSession<accum::MockAcc2Engine>(
+        profile, config, period_blocks, n, so, match);
+    per_block.push_back(c.sp_seconds / static_cast<double>(period_blocks));
+  }
+  return {Quantile(per_block, 0.5), Quantile(per_block, 0.1),
+          Quantile(per_block, 0.9)};
+}
+
+void AddRow(BenchJson* json, const char* op, size_t n, const Row& r) {
+  json->Add(op, n, r.median_s * 1e9, r.median_s > 0 ? 1.0 / r.median_s : 0,
+            r.p10_s * 1e9, r.p90_s * 1e9);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,14 +100,14 @@ int main(int argc, char** argv) {
   ChainConfig config = ConfigFor(profile, IndexMode::kBoth);
 
   std::printf("# subscription matcher sweep — per-block SP cost "
-              "(%zu blocks, %zu templates, mock-acc2)\n",
-              kPeriodBlocks, kTemplates);
+              "(%zu blocks, %zu templates, mock-acc2, median of %zu reps)\n",
+              kPeriodBlocks, kTemplates, kReps);
   std::printf("%-10s %10s %16s %12s\n", "matcher", "subs", "per_block_ms",
               "speedup");
 
   BenchJson json("sub_match");
   for (size_t n : counts) {
-    double linear_s = 0;
+    Row linear{};
     bool have_linear = n <= kMaxLinearSubs;
     SubSessionOptions so;
     so.verify = false;
@@ -83,28 +115,24 @@ int main(int argc, char** argv) {
     so.n_templates = kTemplates;
     so.full_query_templates = true;
     if (have_linear) {
-      SubCosts c = RunSubscriptionSession<accum::MockAcc2Engine>(
-          profile, config, kPeriodBlocks, n, so, MatchPerQuery{});
-      linear_s = c.sp_seconds / kPeriodBlocks;
-      std::printf("%-10s %10zu %16.3f %12s\n", "linear", n, linear_s * 1e3,
-                  "1.0x");
-      json.Add("linear-per-block", n, linear_s * 1e9,
-               linear_s > 0 ? 1.0 / linear_s : 0);
+      linear = RepeatSession(profile, config, kPeriodBlocks, n, so,
+                             MatchPerQuery{});
+      std::printf("%-10s %10zu %16.3f %12s\n", "linear", n,
+                  linear.median_s * 1e3, "1.0x");
+      AddRow(&json, "linear-per-block", n, linear);
       std::fflush(stdout);
     }
-    SubCosts c = RunSubscriptionSession<accum::MockAcc2Engine>(
-        profile, config, kPeriodBlocks, n, so);
-    double indexed_s = c.sp_seconds / kPeriodBlocks;
+    Row indexed = RepeatSession(profile, config, kPeriodBlocks, n, so);
     char speedup[32];
-    if (have_linear && indexed_s > 0) {
-      std::snprintf(speedup, sizeof(speedup), "%.1fx", linear_s / indexed_s);
+    if (have_linear && indexed.median_s > 0) {
+      std::snprintf(speedup, sizeof(speedup), "%.1fx",
+                    linear.median_s / indexed.median_s);
     } else {
       std::snprintf(speedup, sizeof(speedup), "-");
     }
-    std::printf("%-10s %10zu %16.3f %12s\n", "indexed", n, indexed_s * 1e3,
-                speedup);
-    json.Add("indexed-per-block", n, indexed_s * 1e9,
-             indexed_s > 0 ? 1.0 / indexed_s : 0);
+    std::printf("%-10s %10zu %16.3f %12s\n", "indexed", n,
+                indexed.median_s * 1e3, speedup);
+    AddRow(&json, "indexed-per-block", n, indexed);
     std::fflush(stdout);
   }
   return 0;

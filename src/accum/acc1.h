@@ -15,8 +15,10 @@
 #define VCHAIN_ACCUM_ACC1_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
+#include "accum/engine.h"
 #include "accum/keys.h"
 #include "accum/multiset.h"
 #include "accum/polynomial.h"
@@ -66,6 +68,16 @@ class Acc1Engine {
 
   bool VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                       const Proof& proof) const;
+
+  /// One VerifyDisjoint per check. The proof points are untrusted G2 points
+  /// that decoding checks only for lying on the twist, not for membership
+  /// in the order-r subgroup, so the bilinearity a weighted product of
+  /// checks relies on is not guaranteed for them: batching would be
+  /// unsound.
+  bool VerifyDisjointAll(
+      std::span<const DisjointCheck<Acc1Engine>> checks) const {
+    return VerifyEachDisjoint(*this, checks);
+  }
 
   void SerializeDigest(const ObjectDigest& d, ByteWriter* w) const;
   Status DeserializeDigest(ByteReader* r, ObjectDigest* out) const;

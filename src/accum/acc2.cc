@@ -1,5 +1,9 @@
 #include "accum/acc2.h"
 
+#include <cstring>
+
+#include "crypto/sha256.h"
+
 namespace vchain::accum {
 
 Multiset Acc2Engine::MapMultiset(const Multiset& w) const {
@@ -90,6 +94,73 @@ bool Acc2Engine::VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
   // e(dA, dB) * e(-pi, g2) == 1.
   return crypto::PairingProductIsOne(
       {{dw.point, dc.point}, {proof.pi.Neg(), crypto::G2Generator()}});
+}
+
+std::vector<U256> Acc2Engine::BatchWeights(
+    std::span<const DisjointCheck<Acc2Engine>> checks) {
+  static constexpr char kTag[] = "vchain/acc2/VerifyDisjointAll/v1";
+  ByteWriter transcript;
+  transcript.PutFixed(
+      ByteSpan(reinterpret_cast<const uint8_t*>(kTag), sizeof(kTag) - 1));
+  for (const DisjointCheck<Acc2Engine>& c : checks) {
+    crypto::SerializeG1(c.digest.point, &transcript);
+    crypto::SerializeG2(c.clause.point, &transcript);
+    crypto::SerializeG1(c.proof.pi, &transcript);
+  }
+  crypto::Sha256 prefix;
+  prefix.Update(ByteSpan(transcript.bytes().data(), transcript.bytes().size()));
+
+  std::vector<U256> weights;
+  weights.reserve(checks.size());
+  if (!checks.empty()) weights.push_back(U256(1));
+  for (uint64_t i = 1; i < checks.size(); ++i) {
+    crypto::Sha256 h = prefix;
+    ByteWriter index;
+    index.PutU64(i);
+    h.Update(ByteSpan(index.bytes().data(), index.bytes().size()));
+    crypto::Hash32 d = h.Finalize();
+    uint64_t lo, hi;
+    std::memcpy(&lo, d.data(), 8);
+    std::memcpy(&hi, d.data() + 8, 8);
+    weights.push_back(U256(lo | 1, hi, 0, 0));
+  }
+  return weights;
+}
+
+bool Acc2Engine::VerifyDisjointAll(
+    std::span<const DisjointCheck<Acc2Engine>> checks) const {
+  if (checks.empty()) return true;
+  std::vector<U256> weights = BatchWeights(checks);
+  // One G1 side per distinct clause digest: sum of r_i * dA_i over its
+  // checks. Answers carry a handful of clauses, so a linear scan groups.
+  struct Group {
+    const G2Affine* clause;
+    std::vector<G1Affine> digests;
+    std::vector<U256> weights;
+  };
+  std::vector<Group> groups;
+  std::vector<G1Affine> proofs;
+  proofs.reserve(checks.size());
+  for (size_t i = 0; i < checks.size(); ++i) {
+    const DisjointCheck<Acc2Engine>& c = checks[i];
+    Group* g = nullptr;
+    for (Group& existing : groups) {
+      if (*existing.clause == c.clause.point) g = &existing;
+    }
+    if (g == nullptr) g = &groups.emplace_back(Group{&c.clause.point, {}, {}});
+    g->digests.push_back(c.digest.point);
+    g->weights.push_back(weights[i]);
+    proofs.push_back(c.proof.pi);
+  }
+  std::vector<std::pair<G1Affine, G2Affine>> pairs;
+  pairs.reserve(groups.size() + 1);
+  for (const Group& g : groups) {
+    pairs.emplace_back(crypto::MultiScalarMul(g.digests, g.weights).ToAffine(),
+                       *g.clause);
+  }
+  pairs.emplace_back(crypto::MultiScalarMul(proofs, weights).ToAffine().Neg(),
+                     crypto::G2Generator());
+  return crypto::PairingProductIsOne(pairs);
 }
 
 Acc2Engine::ObjectDigest Acc2Engine::SumDigests(

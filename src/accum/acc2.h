@@ -11,6 +11,18 @@
 //                             exactly when X and Y are disjoint)
 //   VerifyDisjoint    e(dA(X), dB(Y)) == e(pi, g2)
 //
+// VerifyDisjointAll checks k such equations at once with the small-exponents
+// batch test: with weights r_0 = 1 and r_i (i >= 1) 128-bit odd scalars
+// derived by SHA-256 from the whole check list,
+//   prod_C e(sum_{i: C_i = C} r_i dA_i, C) * e(-sum_i r_i pi_i, g2) == 1,
+// one pair per distinct clause digest C plus one for the proofs: one
+// multi-Miller loop and one final exponentiation per list. This is sound
+// because every untrusted input (digest, proof) is a G1 point that decoding
+// checks is on the curve, BN254's G1 has cofactor 1 (so every such point is
+// in the order-r group), and the clause digests are the verifier's own. A
+// list with a failing check passes with probability <= 2^-127 for each list
+// the prover tries. With k = 1 the product is exactly VerifyDisjoint's.
+//
 // The extra primitives the paper's online batching (§6.3) and lazy
 // authentication (§7.2) build on:
 //   Sum(d1..dn)       = product of dA's  == digest of the multiset sum
@@ -20,10 +32,12 @@
 #define VCHAIN_ACCUM_ACC2_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "accum/acc1.h"  // ProverMode
+#include "accum/engine.h"
 #include "accum/keys.h"
 #include "accum/multiset.h"
 
@@ -65,6 +79,17 @@ class Acc2Engine {
 
   bool VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                       const Proof& proof) const;
+
+  /// True iff every check passes VerifyDisjoint, up to the batch test's
+  /// 2^-127 soundness error (see the header comment); one pairing product.
+  bool VerifyDisjointAll(
+      std::span<const DisjointCheck<Acc2Engine>> checks) const;
+
+  /// The batch weights of `checks`: r_0 = 1, and r_i for i >= 1 the first
+  /// 128 bits of SHA-256(tag | every check's serialized digest, clause
+  /// digest and proof | i), forced odd. Deterministic; no RNG state.
+  static std::vector<U256> BatchWeights(
+      std::span<const DisjointCheck<Acc2Engine>> checks);
 
   /// acc(X1 + ... + Xn) from the individual digests (multiset sum).
   ObjectDigest SumDigests(const std::vector<ObjectDigest>& digests) const;

@@ -13,10 +13,12 @@
 #define VCHAIN_ACCUM_MOCK_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "accum/acc1.h"
+#include "accum/engine.h"
 #include "accum/keys.h"
 #include "accum/multiset.h"
 #include "accum/polynomial.h"
@@ -61,6 +63,10 @@ class MockAcc1Engine {
   bool VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                       const Proof& p) const {
     return dw.value * p.f1 + dc.value * p.f2 == Fr::One();
+  }
+  bool VerifyDisjointAll(
+      std::span<const DisjointCheck<MockAcc1Engine>> checks) const {
+    return VerifyEachDisjoint(*this, checks);
   }
 
   void SerializeDigest(const ObjectDigest& d, ByteWriter* w) const;
@@ -116,6 +122,10 @@ class MockAcc2Engine {
   bool VerifyDisjoint(const ObjectDigest& dw, const QueryDigest& dc,
                       const Proof& p) const {
     return dw.value * dc.value == p.pi;
+  }
+  bool VerifyDisjointAll(
+      std::span<const DisjointCheck<MockAcc2Engine>> checks) const {
+    return VerifyEachDisjoint(*this, checks);
   }
 
   ObjectDigest SumDigests(const std::vector<ObjectDigest>& digests) const {

@@ -11,9 +11,13 @@
 //                   verified mismatch proof; skip steps are checked against
 //                   the committed skip-list roots and proven disjoint.
 //
-// All disjointness proofs are verified with VerifyDisjoint; with an
-// aggregating engine, proof-less mismatch entries are grouped per clause,
-// their digests summed, and one aggregated proof per clause checked (§6.3).
+// The structural checks (window tiling, hashes, roots, skip levels, clause
+// indexes) all run first. Meanwhile the walk defers one disjointness check
+// per proof-carrying node or skip step; with an aggregating engine,
+// proof-less mismatch entries are grouped per clause, their digests summed,
+// and one check per aggregated proof deferred (§6.3). Every proof of the VO
+// enters that list exactly once, and one VerifyDisjointAll call settles it:
+// with acc2, one pairing product per verified answer.
 
 #ifndef VCHAIN_CORE_VERIFIER_H_
 #define VCHAIN_CORE_VERIFIER_H_
@@ -21,6 +25,7 @@
 #include <map>
 #include <vector>
 
+#include "accum/engine.h"
 #include "chain/light_client.h"
 #include "core/query.h"
 #include "core/vo.h"
@@ -59,8 +64,7 @@ class Verifier {
     }
 
     std::vector<bool> object_used(resp.objects.size(), false);
-    // clause -> digests of proof-less mismatch entries (aggregated mode).
-    std::map<uint32_t, std::vector<typename Engine::ObjectDigest>> pending;
+    Deferred deferred;
 
     uint64_t cursor = range->second;
     bool done = false;
@@ -73,7 +77,7 @@ class Verifier {
         }
         VCHAIN_RETURN_IF_ERROR(VerifyBlockStep(bvo, q, tq, view,
                                                clause_digests, resp.objects,
-                                               &object_used, &pending));
+                                               &object_used, &deferred));
         if (cursor == range->first) {
           done = true;
         } else {
@@ -87,7 +91,7 @@ class Verifier {
           return Status::VerifyFailed("skip step from unexpected height");
         }
         VCHAIN_RETURN_IF_ERROR(
-            VerifySkipStep(svo, tq, clause_digests, &pending));
+            VerifySkipStep(svo, tq, clause_digests, &deferred));
         if (svo.distance > cursor + 1 ||
             cursor + 1 - svo.distance < range->first) {
           return Status::VerifyFailed("skip overshoots the query window");
@@ -105,17 +109,29 @@ class Verifier {
     for (bool used : object_used) {
       if (!used) return Status::VerifyFailed("unreferenced object in results");
     }
-    return VerifyAggregates(resp.vo, tq, clause_digests, pending);
+    VCHAIN_RETURN_IF_ERROR(
+        VerifyAggregates(resp.vo, tq, clause_digests, &deferred));
+    if (!engine_.VerifyDisjointAll(deferred.checks)) {
+      return Status::VerifyFailed("disjointness proof rejected");
+    }
+    return Status::OK();
   }
 
  private:
+  /// What the structural walk leaves for the end.
+  struct Deferred {
+    /// One per proof of the VO, checked together by VerifyDisjointAll.
+    std::vector<accum::DisjointCheck<Engine>> checks;
+    /// clause -> digests of proof-less entries (aggregating engines).
+    std::map<uint32_t, std::vector<typename Engine::ObjectDigest>> pending;
+  };
+
   Status VerifyBlockStep(
       const BlockVO<Engine>& bvo, const Query& q, const TransformedQuery& tq,
       const MappedQueryView& view,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
       const std::vector<Object>& objects, std::vector<bool>* object_used,
-      std::map<uint32_t, std::vector<typename Engine::ObjectDigest>>* pending)
-      const {
+      Deferred* deferred) const {
     const chain::BlockHeader& header = lc_->HeaderAt(bvo.height);
     if (bvo.nodes.empty()) {
       return Status::VerifyFailed("empty block VO");
@@ -131,7 +147,7 @@ class Verifier {
         }
         Hash32 h;
         VCHAIN_RETURN_IF_ERROR(VerifyLeafOrMismatch(
-            n, q, tq, view, clause_digests, objects, object_used, pending,
+            n, q, tq, view, clause_digests, objects, object_used, deferred,
             &h));
         leaf_hashes.push_back(h);
       }
@@ -144,7 +160,7 @@ class Verifier {
       std::vector<int> visited(bvo.nodes.size(), 0);
       VCHAIN_RETURN_IF_ERROR(VerifyTreeNode(bvo, bvo.root, q, tq, view,
                                             clause_digests, objects,
-                                            object_used, pending, &visited,
+                                            object_used, deferred, &visited,
                                             &root));
     }
     if (root != header.object_root) {
@@ -160,8 +176,7 @@ class Verifier {
       const TransformedQuery& tq, const MappedQueryView& view,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
       const std::vector<Object>& objects, std::vector<bool>* object_used,
-      std::map<uint32_t, std::vector<typename Engine::ObjectDigest>>* pending,
-      std::vector<int>* visited, Hash32* out_hash) const {
+      Deferred* deferred, std::vector<int>* visited, Hash32* out_hash) const {
     if (idx < 0 || idx >= static_cast<int32_t>(bvo.nodes.size())) {
       return Status::VerifyFailed("VO node index out of range");
     }
@@ -173,17 +188,17 @@ class Verifier {
       Hash32 hl, hr;
       VCHAIN_RETURN_IF_ERROR(VerifyTreeNode(bvo, n.left, q, tq, view,
                                             clause_digests, objects,
-                                            object_used, pending, visited,
+                                            object_used, deferred, visited,
                                             &hl));
       VCHAIN_RETURN_IF_ERROR(VerifyTreeNode(bvo, n.right, q, tq, view,
                                             clause_digests, objects,
-                                            object_used, pending, visited,
+                                            object_used, deferred, visited,
                                             &hr));
       *out_hash = NodeHash(engine_, crypto::HashPair(hl, hr), n.digest);
       return Status::OK();
     }
     return VerifyLeafOrMismatch(n, q, tq, view, clause_digests, objects,
-                                object_used, pending, out_hash);
+                                object_used, deferred, out_hash);
   }
 
   Status VerifyLeafOrMismatch(
@@ -191,8 +206,7 @@ class Verifier {
       const MappedQueryView& view,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
       const std::vector<Object>& objects, std::vector<bool>* object_used,
-      std::map<uint32_t, std::vector<typename Engine::ObjectDigest>>* pending,
-      Hash32* out_hash) const {
+      Deferred* deferred, Hash32* out_hash) const {
     if (n.kind == VoKind::kMatch) {
       if (n.object_ref >= objects.size()) {
         return Status::VerifyFailed("VO match references missing object");
@@ -217,13 +231,11 @@ class Verifier {
       return Status::VerifyFailed("mismatch clause index out of range");
     }
     if (n.proof.has_value()) {
-      if (!engine_.VerifyDisjoint(n.digest, clause_digests[n.clause_idx],
-                                  *n.proof)) {
-        return Status::VerifyFailed("disjointness proof rejected");
-      }
+      deferred->checks.push_back(
+          {n.digest, clause_digests[n.clause_idx], *n.proof});
     } else {
       if constexpr (Engine::kSupportsAggregation) {
-        (*pending)[n.clause_idx].push_back(n.digest);
+        deferred->pending[n.clause_idx].push_back(n.digest);
       } else {
         return Status::VerifyFailed("missing proof for mismatch node");
       }
@@ -235,8 +247,7 @@ class Verifier {
   Status VerifySkipStep(
       const SkipVO<Engine>& svo, const TransformedQuery& tq,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
-      std::map<uint32_t, std::vector<typename Engine::ObjectDigest>>* pending)
-      const {
+      Deferred* deferred) const {
     const chain::BlockHeader& header = lc_->HeaderAt(svo.from_height);
     uint32_t levels = config_.NumSkipLevels(svo.from_height);
     if (svo.level >= levels ||
@@ -278,13 +289,11 @@ class Verifier {
       return Status::VerifyFailed("skip clause index out of range");
     }
     if (svo.proof.has_value()) {
-      if (!engine_.VerifyDisjoint(svo.digest, clause_digests[svo.clause_idx],
-                                  *svo.proof)) {
-        return Status::VerifyFailed("skip disjointness proof rejected");
-      }
+      deferred->checks.push_back(
+          {svo.digest, clause_digests[svo.clause_idx], *svo.proof});
     } else {
       if constexpr (Engine::kSupportsAggregation) {
-        (*pending)[svo.clause_idx].push_back(svo.digest);
+        deferred->pending[svo.clause_idx].push_back(svo.digest);
       } else {
         return Status::VerifyFailed("missing proof for skip step");
       }
@@ -292,11 +301,13 @@ class Verifier {
     return Status::OK();
   }
 
+  /// Defers one check per aggregated proof against its clause's summed
+  /// digests. Every aggregated proof must cover a clause with pending
+  /// entries and every such clause must have exactly one.
   Status VerifyAggregates(
       const WindowVO<Engine>& vo, const TransformedQuery& tq,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
-      const std::map<uint32_t, std::vector<typename Engine::ObjectDigest>>&
-          pending) const {
+      Deferred* deferred) const {
     if constexpr (Engine::kSupportsAggregation) {
       std::map<uint32_t, const typename Engine::Proof*> agg_proofs;
       for (const AggregatedProof<Engine>& a : vo.aggregated) {
@@ -307,19 +318,21 @@ class Verifier {
           return Status::VerifyFailed("duplicate aggregated proof");
         }
       }
-      for (const auto& [clause_idx, digests] : pending) {
+      for (const auto& [clause_idx, digests] : deferred->pending) {
         auto it = agg_proofs.find(clause_idx);
         if (it == agg_proofs.end()) {
           return Status::VerifyFailed("missing aggregated proof for clause");
         }
-        typename Engine::ObjectDigest summed = engine_.SumDigests(digests);
-        if (!engine_.VerifyDisjoint(summed, clause_digests[clause_idx],
-                                    *it->second)) {
-          return Status::VerifyFailed("aggregated disjointness proof rejected");
-        }
+        deferred->checks.push_back({engine_.SumDigests(digests),
+                                    clause_digests[clause_idx], *it->second});
+      }
+      // Every pending clause found its proof, so any surplus proof names a
+      // clause with nothing to cover.
+      if (agg_proofs.size() != deferred->pending.size()) {
+        return Status::VerifyFailed("unreferenced aggregated proof");
       }
     } else {
-      if (!vo.aggregated.empty() || !pending.empty()) {
+      if (!vo.aggregated.empty() || !deferred->pending.empty()) {
         return Status::VerifyFailed(
             "aggregation not supported by this engine");
       }

@@ -14,8 +14,11 @@
 // hard part; its u-power exponentiations square with Granger-Scott
 // cyclotomic squaring.
 //
-// `PairingProductIsOne` is the primitive behind every VerifyDisjoint in the
-// accumulator layer.
+// `PairingProductIsOne` is the primitive behind every VerifyDisjoint and
+// VerifyDisjointAll in the accumulator layer. acc2's VerifyDisjointAll folds
+// all disjointness checks of one verified answer into a single call (one
+// pair per distinct clause digest plus one for the proofs), so an answer
+// pays one multi-Miller loop and one final exponentiation.
 
 #ifndef VCHAIN_CRYPTO_PAIRING_H_
 #define VCHAIN_CRYPTO_PAIRING_H_

@@ -11,12 +11,18 @@
 //   * cell exclusions prove no object below lies in the given grid cells —
 //     sufficient only when the cells jointly cover the query's whole range
 //     box, which the verifier checks geometrically (CellsCoverQueryRange).
+//
+// Every structural check runs first; each clause exclusion, cell exclusion
+// and lazy aggregated proof only appends a disjointness check, and one
+// VerifyDisjointAll call per notification or lazy batch (its match block
+// included) settles them all: with acc2, one pairing product.
 
 #ifndef VCHAIN_SUB_SUB_VERIFIER_H_
 #define VCHAIN_SUB_SUB_VERIFIER_H_
 
 #include <vector>
 
+#include "accum/engine.h"
 #include "chain/light_client.h"
 #include "core/verifier.h"
 #include "sub/subscription.h"
@@ -25,6 +31,8 @@ namespace vchain::sub {
 
 template <typename Engine>
 class SubVerifier {
+  using Checks = std::vector<accum::DisjointCheck<Engine>>;
+
  public:
   SubVerifier(const Engine& engine, const ChainConfig& config,
               const chain::LightClient* lc)
@@ -34,45 +42,9 @@ class SubVerifier {
   /// notif.height.
   Status VerifyNotification(const Query& q,
                             const SubNotification<Engine>& notif) const {
-    if (notif.height >= lc_->Height()) {
-      return Status::VerifyFailed("notification for unknown block");
-    }
-    TransformedQuery tq = core::TransformQuery(q, config_.schema);
-    MappedQueryView view(engine_, tq);
-    std::vector<typename Engine::QueryDigest> clause_digests;
-    for (const Multiset& c : tq.clauses) {
-      clause_digests.push_back(engine_.QueryDigestOf(c));
-    }
-
-    const chain::BlockHeader& header = lc_->HeaderAt(notif.height);
-    std::vector<bool> used(notif.objects.size(), false);
-    chain::Hash32 root;
-    if (notif.root < 0) {
-      // Flat (nil-mode) notification.
-      std::vector<chain::Hash32> leaves;
-      for (const SubVoNode<Engine>& n : notif.nodes) {
-        if (n.kind == VoKind::kExpand) {
-          return Status::VerifyFailed("expand node in flat notification");
-        }
-        chain::Hash32 h;
-        VCHAIN_RETURN_IF_ERROR(
-            VerifyLeafish(n, q, tq, view, clause_digests, notif, &used, &h));
-        leaves.push_back(h);
-      }
-      root = chain::MerkleRootOf(leaves);
-    } else {
-      std::vector<int> visited(notif.nodes.size(), 0);
-      VCHAIN_RETURN_IF_ERROR(VerifyNode(notif, notif.root, q, tq, view,
-                                        clause_digests, &used, &visited,
-                                        &root));
-    }
-    if (root != header.object_root) {
-      return Status::VerifyFailed("notification root mismatch");
-    }
-    for (bool u : used) {
-      if (!u) return Status::VerifyFailed("unreferenced object");
-    }
-    return Status::OK();
+    Checks checks;
+    VCHAIN_RETURN_IF_ERROR(CheckNotification(q, notif, &checks));
+    return VerifyChecks(checks);
   }
 
   /// Verify a lazy batch for `q`. `expected_from` is the first height still
@@ -82,6 +54,7 @@ class SubVerifier {
                          uint64_t expected_from, uint64_t* next_owed) const {
     TransformedQuery tq = core::TransformQuery(q, config_.schema);
     uint64_t cursor = expected_from;
+    Checks checks;
     if (batch.has_pending) {
       if (batch.clause_idx >= tq.clauses.size()) {
         return Status::VerifyFailed("lazy clause index out of range");
@@ -104,12 +77,9 @@ class SubVerifier {
         if (!batch.agg_proof.has_value()) {
           return Status::VerifyFailed("missing aggregated proof");
         }
-        typename Engine::ObjectDigest summed = engine_.SumDigests(digests);
-        typename Engine::QueryDigest cd =
-            engine_.QueryDigestOf(tq.clauses[batch.clause_idx]);
-        if (!engine_.VerifyDisjoint(summed, cd, *batch.agg_proof)) {
-          return Status::VerifyFailed("aggregated lazy proof rejected");
-        }
+        checks.push_back({engine_.SumDigests(digests),
+                          engine_.QueryDigestOf(tq.clauses[batch.clause_idx]),
+                          *batch.agg_proof});
       } else {
         return Status::VerifyFailed(
             "lazy batches require an aggregating engine");
@@ -120,20 +90,74 @@ class SubVerifier {
         return Status::VerifyFailed("match block out of order");
       }
       // The notification carries its own object list.
-      SubNotification<Engine> notif = *batch.match;
-      VCHAIN_RETURN_IF_ERROR(VerifyNotification(q, notif));
+      VCHAIN_RETURN_IF_ERROR(CheckNotification(q, *batch.match, &checks));
       ++cursor;
     }
+    VCHAIN_RETURN_IF_ERROR(VerifyChecks(checks));
     *next_owed = cursor;
     return Status::OK();
   }
 
  private:
+  Status VerifyChecks(const Checks& checks) const {
+    if (!engine_.VerifyDisjointAll(checks)) {
+      return Status::VerifyFailed("disjointness proof rejected");
+    }
+    return Status::OK();
+  }
+
+  /// Every structural check of a realtime notification; its exclusion
+  /// proofs are appended to `checks`.
+  Status CheckNotification(const Query& q,
+                           const SubNotification<Engine>& notif,
+                           Checks* checks) const {
+    if (notif.height >= lc_->Height()) {
+      return Status::VerifyFailed("notification for unknown block");
+    }
+    TransformedQuery tq = core::TransformQuery(q, config_.schema);
+    MappedQueryView view(engine_, tq);
+    std::vector<typename Engine::QueryDigest> clause_digests;
+    for (const Multiset& c : tq.clauses) {
+      clause_digests.push_back(engine_.QueryDigestOf(c));
+    }
+
+    const chain::BlockHeader& header = lc_->HeaderAt(notif.height);
+    std::vector<bool> used(notif.objects.size(), false);
+    chain::Hash32 root;
+    if (notif.root < 0) {
+      // Flat (nil-mode) notification.
+      std::vector<chain::Hash32> leaves;
+      for (const SubVoNode<Engine>& n : notif.nodes) {
+        if (n.kind == VoKind::kExpand) {
+          return Status::VerifyFailed("expand node in flat notification");
+        }
+        chain::Hash32 h;
+        VCHAIN_RETURN_IF_ERROR(
+            VerifyLeafish(n, q, tq, view, clause_digests, notif, &used,
+                          checks, &h));
+        leaves.push_back(h);
+      }
+      root = chain::MerkleRootOf(leaves);
+    } else {
+      std::vector<int> visited(notif.nodes.size(), 0);
+      VCHAIN_RETURN_IF_ERROR(VerifyNode(notif, notif.root, q, tq, view,
+                                        clause_digests, &used, &visited,
+                                        checks, &root));
+    }
+    if (root != header.object_root) {
+      return Status::VerifyFailed("notification root mismatch");
+    }
+    for (bool u : used) {
+      if (!u) return Status::VerifyFailed("unreferenced object");
+    }
+    return Status::OK();
+  }
+
   Status VerifyNode(
       const SubNotification<Engine>& notif, int32_t idx, const Query& q,
       const TransformedQuery& tq, const MappedQueryView& view,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
-      std::vector<bool>* used, std::vector<int>* visited,
+      std::vector<bool>* used, std::vector<int>* visited, Checks* checks,
       chain::Hash32* out_hash) const {
     if (idx < 0 || idx >= static_cast<int32_t>(notif.nodes.size())) {
       return Status::VerifyFailed("node index out of range");
@@ -145,14 +169,16 @@ class SubVerifier {
     if (n.kind == VoKind::kExpand) {
       chain::Hash32 hl, hr;
       VCHAIN_RETURN_IF_ERROR(VerifyNode(notif, n.left, q, tq, view,
-                                        clause_digests, used, visited, &hl));
+                                        clause_digests, used, visited, checks,
+                                        &hl));
       VCHAIN_RETURN_IF_ERROR(VerifyNode(notif, n.right, q, tq, view,
-                                        clause_digests, used, visited, &hr));
+                                        clause_digests, used, visited, checks,
+                                        &hr));
       *out_hash =
           core::NodeHash(engine_, crypto::HashPair(hl, hr), n.digest);
       return Status::OK();
     }
-    return VerifyLeafish(n, q, tq, view, clause_digests, notif, used,
+    return VerifyLeafish(n, q, tq, view, clause_digests, notif, used, checks,
                          out_hash);
   }
 
@@ -161,7 +187,7 @@ class SubVerifier {
       const MappedQueryView& view,
       const std::vector<typename Engine::QueryDigest>& clause_digests,
       const SubNotification<Engine>& notif, std::vector<bool>* used,
-      chain::Hash32* out_hash) const {
+      Checks* checks, chain::Hash32* out_hash) const {
     if (n.kind == VoKind::kMatch) {
       if (n.object_ref >= notif.objects.size()) {
         return Status::VerifyFailed("match references missing object");
@@ -189,10 +215,7 @@ class SubVerifier {
         if (ex.clause_idx >= tq.clauses.size()) {
           return Status::VerifyFailed("exclusion clause index out of range");
         }
-        if (!engine_.VerifyDisjoint(n.digest, clause_digests[ex.clause_idx],
-                                    ex.proof)) {
-          return Status::VerifyFailed("clause exclusion proof rejected");
-        }
+        checks->push_back({n.digest, clause_digests[ex.clause_idx], ex.proof});
         clause_excluded = true;
       } else {
         if (ex.cell.dims.size() != config_.schema.dims) {
@@ -204,10 +227,7 @@ class SubVerifier {
           }
         }
         Multiset set = ex.cell.PrefixMultiset(config_.schema);
-        if (!engine_.VerifyDisjoint(n.digest, engine_.QueryDigestOf(set),
-                                    ex.proof)) {
-          return Status::VerifyFailed("cell exclusion proof rejected");
-        }
+        checks->push_back({n.digest, engine_.QueryDigestOf(set), ex.proof});
         cells.push_back(ex.cell);
       }
     }

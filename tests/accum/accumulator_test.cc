@@ -1,7 +1,8 @@
 // Accumulator engine correctness — typed across all four engines
-// (acc1/acc2 x BN254/mock), plus acc2-specific aggregation, the
-// unforgeability game from Definition 8.1 played with tampered proofs, and
-// the key oracle's batched powers against one-at-a-time test oracles.
+// (acc1/acc2 x BN254/mock), plus acc2-specific aggregation, batched
+// verification against per-check verdicts, the unforgeability game from
+// Definition 8.1 played with tampered proofs, and the key oracle's batched
+// powers against one-at-a-time test oracles.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "accum/engine.h"
 #include "accum/mock.h"
 #include "common/rand.h"
+#include "crypto/pairing.h"
 
 namespace vchain::accum {
 namespace {
@@ -168,6 +170,139 @@ TYPED_TEST(EngineTest, RandomizedDisjointSweep) {
         this->engine_.Digest(w), this->engine_.QueryDigestOf(clause),
         proof.value()));
   }
+}
+
+// --- batched verification (VerifyDisjointAll) -------------------------------
+
+/// `p` moved off its honest value by the generator of its group.
+Acc1Engine::Proof Shifted(const Acc1Engine::Proof& p) {
+  return {crypto::G2::FromAffine(p.f1).AddAffine(crypto::G2Generator())
+              .ToAffine(),
+          p.f2};
+}
+Acc2Engine::Proof Shifted(const Acc2Engine::Proof& p) {
+  return {crypto::G1::FromAffine(p.pi).AddAffine(crypto::G1Generator())
+              .ToAffine()};
+}
+MockAcc1Engine::Proof Shifted(const MockAcc1Engine::Proof& p) {
+  return {p.f1 + Fr::One(), p.f2};
+}
+MockAcc2Engine::Proof Shifted(const MockAcc2Engine::Proof& p) {
+  return {p.pi + Fr::One()};
+}
+
+/// `k` honest checks over random disjoint multisets; about half reuse an
+/// earlier check's clause. `foreign[i]` is an honest proof for another
+/// multiset against check i's clause.
+template <typename Engine>
+struct CheckList {
+  std::vector<DisjointCheck<Engine>> checks;
+  std::vector<typename Engine::Proof> foreign;
+};
+
+template <typename Engine>
+CheckList<Engine> HonestChecks(const Engine& engine, Rng* rng, size_t k) {
+  // Disjoint by construction: objects draw ids from [1, 1000], clauses from
+  // [1001, 2000] (distinct mapped ids in the 12-bit universe).
+  auto random_set = [rng](uint64_t lo, uint64_t hi, uint64_t max_size) {
+    Multiset m;
+    uint64_t n = rng->Range(1, max_size);
+    for (uint64_t i = 0; i < n; ++i) {
+      m.Add(rng->Range(lo, hi), static_cast<uint32_t>(rng->Range(1, 2)));
+    }
+    return m;
+  };
+  std::vector<Multiset> clauses;
+  CheckList<Engine> out;
+  for (size_t i = 0; i < k; ++i) {
+    if (clauses.empty() || rng->Below(2) == 0) {
+      clauses.push_back(random_set(1001, 2000, 3));
+    }
+    const Multiset& clause = clauses[rng->Below(clauses.size())];
+    Multiset w = random_set(1, 1000, 6);
+    auto proof = engine.ProveDisjoint(w, clause);
+    auto foreign = engine.ProveDisjoint(random_set(1, 1000, 6), clause);
+    EXPECT_TRUE(proof.ok() && foreign.ok());
+    out.checks.push_back(
+        {engine.Digest(w), engine.QueryDigestOf(clause), proof.value()});
+    out.foreign.push_back(foreign.value());
+  }
+  return out;
+}
+
+TYPED_TEST(EngineTest, VerifyDisjointAllIsTheAndOfEachCheck) {
+  const TypeParam& engine = this->engine_;
+  Rng rng(23);
+  for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                   size_t{8}}) {
+    CheckList<TypeParam> list = HonestChecks(engine, &rng, k);
+    for (const DisjointCheck<TypeParam>& c : list.checks) {
+      ASSERT_TRUE(engine.VerifyDisjoint(c.digest, c.clause, c.proof));
+    }
+    EXPECT_TRUE(engine.VerifyDisjointAll(list.checks)) << "k=" << k;
+    // Every other check stays honest, so the AND of the per-check verdicts
+    // is the corrupted check's own verdict.
+    for (size_t pos = 0; pos < k; ++pos) {
+      const typename TypeParam::Proof honest = list.checks[pos].proof;
+      const typename TypeParam::Proof corruptions[] = {
+          list.foreign[pos], Shifted(honest), typename TypeParam::Proof{}};
+      for (size_t v = 0; v < std::size(corruptions); ++v) {
+        std::vector<DisjointCheck<TypeParam>> bad = list.checks;
+        bad[pos].proof = corruptions[v];
+        const bool each = engine.VerifyDisjoint(bad[pos].digest,
+                                                bad[pos].clause,
+                                                bad[pos].proof);
+        EXPECT_FALSE(each) << "k=" << k << " pos=" << pos << " v=" << v;
+        EXPECT_EQ(engine.VerifyDisjointAll(bad), each)
+            << "k=" << k << " pos=" << pos << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(Acc2BatchTest, ShiftedProofPairIsRejected) {
+  // pi_1 + X and pi_2 - X leave the sum of the proofs unchanged, so the
+  // unweighted product of the two checks still reads one; the weights must
+  // tell the pair apart.
+  Acc2Engine engine = MakeEngine<Acc2Engine>();
+  Rng rng(29);
+  CheckList<Acc2Engine> list = HonestChecks(engine, &rng, 2);
+  const crypto::G1 x = crypto::G1Mul(Fr::FromUint64(987654321));
+  std::vector<DisjointCheck<Acc2Engine>> bad = list.checks;
+  bad[0].proof.pi = crypto::G1::FromAffine(bad[0].proof.pi).Add(x).ToAffine();
+  bad[1].proof.pi =
+      crypto::G1::FromAffine(bad[1].proof.pi).Add(x.Neg()).ToAffine();
+
+  crypto::G1 proof_sum = crypto::G1::FromAffine(bad[0].proof.pi)
+                             .AddAffine(bad[1].proof.pi);
+  ASSERT_TRUE(crypto::PairingProductIsOne(
+      {{bad[0].digest.point, bad[0].clause.point},
+       {bad[1].digest.point, bad[1].clause.point},
+       {proof_sum.ToAffine().Neg(), crypto::G2Generator()}}));
+  EXPECT_FALSE(engine.VerifyDisjoint(bad[0].digest, bad[0].clause,
+                                     bad[0].proof));
+  EXPECT_FALSE(engine.VerifyDisjointAll(bad));
+  EXPECT_TRUE(engine.VerifyDisjointAll(list.checks));
+}
+
+TEST(Acc2BatchTest, WeightsAreOddDeterministicAndBindTheList) {
+  Acc2Engine engine = MakeEngine<Acc2Engine>();
+  Rng rng(31);
+  CheckList<Acc2Engine> list = HonestChecks(engine, &rng, 4);
+  std::vector<crypto::U256> w = Acc2Engine::BatchWeights(list.checks);
+  ASSERT_EQ(w.size(), 4u);
+  EXPECT_EQ(w[0], crypto::U256(1));
+  for (const crypto::U256& r : w) {
+    EXPECT_TRUE(r.IsOdd());
+    EXPECT_LE(r.BitLength(), 128);
+  }
+  EXPECT_EQ(Acc2Engine::BatchWeights(list.checks), w);
+  std::vector<DisjointCheck<Acc2Engine>> other = list.checks;
+  other[3].proof = list.foreign[3];
+  std::vector<crypto::U256> w2 = Acc2Engine::BatchWeights(other);
+  EXPECT_EQ(w2[0], w[0]);
+  EXPECT_NE(w2[1], w[1]);
+  EXPECT_TRUE(Acc2Engine::BatchWeights({}).empty());
 }
 
 // --- acc2-only aggregation (paper §6.3) -------------------------------------

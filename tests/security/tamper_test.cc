@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rand.h"
 #include "core/vchain.h"
 
@@ -331,6 +333,34 @@ TEST(TamperBn254Test, DroppedResultAndTamperedProofDetected) {
                                      .ToAffine()};
     EXPECT_FALSE(env.Verify(q, bad).ok());
   }
+}
+
+TEST(TamperBn254Test, UnreferencedAggregatedProofDetected) {
+  // A VO is canonical: every aggregated proof covers a clause with
+  // proof-less entries. An extra, well-formed one for a clause that needs
+  // none must not ride along.
+  Env<accum::Acc2Engine> env(IndexMode::kBoth, /*blocks=*/6, /*seed=*/17);
+  Query q = env.StdQuery(6);
+  // Every object carries one of these, so no mismatch ever cites the clause.
+  q.keyword_cnf.push_back({"alpha", "beta", "gamma", "delta"});
+  auto resp = env.HonestResponse(q);
+  ASSERT_TRUE(env.Verify(q, resp).ok());
+  const size_t num_clauses =
+      TransformQuery(q, env.config.schema).clauses.size();
+  std::optional<uint32_t> spare;
+  for (uint32_t c = 0; c < num_clauses && !spare; ++c) {
+    bool taken = false;
+    for (const auto& a : resp.vo.aggregated) taken |= a.clause_idx == c;
+    if (!taken) spare = c;
+  }
+  ASSERT_TRUE(spare.has_value()) << "every clause already aggregated";
+  // The proof of the empty multiset: it verifies against any clause.
+  resp.vo.aggregated.push_back({*spare, accum::Acc2Engine::Proof{}});
+  Status st = env.Verify(q, resp);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("unreferenced aggregated proof"),
+            std::string::npos)
+      << st.ToString();
 }
 
 TEST(TamperBn254Test, Acc1ProofSwapDetected) {
